@@ -8,6 +8,7 @@ and receiver batches use the same format, one JSON object per line.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -144,6 +145,8 @@ def _parse_profile(name: str, obj: Any) -> ApplicationProfile:
                 f"profile {name!r}: weights must be an object with keys {ATTRIBUTES}"
             )
         values = {k: float(weights[k]) for k in ATTRIBUTES}
+        if not all(math.isfinite(v) for v in values.values()):
+            raise ValueError(f"profile {name!r}: weights must be finite, got {values}")
         total = sum(values.values())
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"profile {name!r}: weights sum to {total!r}, expected 1")

@@ -1,27 +1,22 @@
 """Threshold scheduling of perception records over candidate receivers.
 
-Each record is scored against every receiver; a record's rank is set by
-its best achievable value. The scheduler is stateless: one config, one
-clock instant, and the same batch always produce the same ordering.
+A record's rank is set by its best value over the receivers. The overall
+value separates as w_t*T(record) + w_p*P(receiver) + w_q*Q(record, scenario),
+and with finite non-negative weights it never falls as P rises. So rank
+scores P once per receiver, groups the receivers by scenario and sorts each
+group by falling P; per record it scores T once and Q once per group, and
+walks each group only while the value equals the group's first. The
+result is bitwise the one score_record gives over every pair. The
+scheduler is stateless: one config, one clock instant, and the same batch
+always produce the same ordering.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .voi import (
-    DEFAULT_LOGISTIC,
-    MODES,
-    PROCESSED,
-    ApplicationProfile,
-    AssessmentContext,
-    LogisticParams,
-    Scenario,
-    SensorModel,
-    TemporalClass,
-    overall_voi,
-)
+from . import voi
 
 
 @dataclass(frozen=True)
@@ -32,15 +27,15 @@ class PerceptionRecord:
     source_vehicle: str
     generated_at: float
     object_distance: float
-    temporal: TemporalClass
-    sensor: SensorModel
-    mode: str = PROCESSED
+    temporal: voi.TemporalClass
+    sensor: voi.SensorModel
+    mode: str = voi.PROCESSED
 
     def __post_init__(self) -> None:
         if self.object_distance < 0:
             raise ValueError(f"object distance must be non-negative, got {self.object_distance}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.mode not in voi.MODES:
+            raise ValueError(f"mode must be one of {voi.MODES}, got {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -49,7 +44,7 @@ class ReceiverView:
 
     receiver_id: str
     distance: float
-    scenario: Scenario
+    scenario: voi.Scenario
 
     def __post_init__(self) -> None:
         if self.distance < 0:
@@ -60,10 +55,10 @@ class ReceiverView:
 class SchedulerConfig:
     """Profile, send threshold in [0, 1], and the evaluation instant."""
 
-    profile: ApplicationProfile
+    profile: voi.ApplicationProfile
     threshold: float
     now: float
-    params: LogisticParams = DEFAULT_LOGISTIC
+    params: voi.LogisticParams = voi.DEFAULT_LOGISTIC
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.threshold <= 1.0):
@@ -72,34 +67,72 @@ class SchedulerConfig:
 
 @dataclass(frozen=True)
 class RankedEntry:
-    """One record's scores: the best receiver and the full per-receiver map."""
+    """One record's best value over the receivers and the receiver reaching it.
+
+    Among receivers of equal value the smallest receiver id wins.
+    """
 
     record_id: str
     best_value: float
     best_receiver: str
-    per_receiver_values: tuple[tuple[str, float], ...]
 
 
-def score_record(
-    record: PerceptionRecord, view: ReceiverView, cfg: SchedulerConfig
-) -> float:
-    """Overall value of one record for one receiver at cfg.now."""
+def _age(record: PerceptionRecord, cfg: SchedulerConfig) -> float:
     aoi = cfg.now - record.generated_at
     if aoi < 0:
         raise ValueError(
             f"record {record.id!r} was generated at {record.generated_at}, "
             f"after the scheduler clock {cfg.now}"
         )
-    ctx = AssessmentContext(
+    return aoi
+
+
+def score_record(
+    record: PerceptionRecord, view: ReceiverView, cfg: SchedulerConfig
+) -> float:
+    """Overall value of one record for one receiver at cfg.now.
+
+    The scalar reference for rank, which must agree with it bitwise.
+    """
+    ctx = voi.AssessmentContext(
         distance=view.distance,
-        aoi=aoi,
+        aoi=_age(record, cfg),
         scenario=view.scenario,
         temporal=record.temporal,
         sensor=record.sensor,
         mode=record.mode,
         obs_distance=record.object_distance,
     )
-    return overall_voi(ctx, cfg.profile, cfg.params)
+    return voi.overall_voi(ctx, cfg.profile, cfg.params)
+
+
+def _reject_duplicates(ids: Iterable[str], kind: str) -> None:
+    seen: set[str] = set()
+    for item in ids:
+        if item in seen:
+            raise ValueError(f"duplicate {kind} id {item!r}")
+        seen.add(item)
+
+
+def _proximity_groups(
+    receivers: Sequence[ReceiverView], cfg: SchedulerConfig
+) -> list[tuple[voi.Scenario, list[tuple[float, str]]]]:
+    """Receivers by scenario, each group as (P, receiver id) by falling P.
+
+    Of receivers with equal P only the smallest id is kept, since it wins
+    every tie among them.
+    """
+    groups: dict[voi.Scenario, list[tuple[float, str]]] = {}
+    for view in receivers:
+        p = voi.proximity_voi(view.distance, view.scenario.safety_distance, cfg.params)
+        voi.check_score("proximity", p)
+        groups.setdefault(view.scenario, []).append((p, view.receiver_id))
+    result = []
+    for scenario, members in groups.items():
+        members.sort(key=lambda m: (-m[0], m[1]))
+        distinct = [m for i, m in enumerate(members) if i == 0 or m[0] != members[i - 1][0]]
+        result.append((scenario, distinct))
+    return result
 
 
 def rank(
@@ -115,17 +148,30 @@ def rank(
     """
     if not receivers:
         raise ValueError("at least one receiver is required")
-    seen: set[str] = set()
-    for record in records:
-        if record.id in seen:
-            raise ValueError(f"duplicate record id {record.id!r}")
-        seen.add(record.id)
+    _reject_duplicates((v.receiver_id for v in receivers), "receiver")
+    _reject_duplicates((r.id for r in records), "record")
+    groups = _proximity_groups(receivers, cfg)
+    wt, wp, wq = cfg.profile.weights
 
     entries = []
     for record in records:
-        values = tuple((v.receiver_id, score_record(record, v, cfg)) for v in receivers)
-        best_receiver, best_value = min(values, key=lambda rv: (-rv[1], rv[0]))
-        entries.append(RankedEntry(record.id, best_value, best_receiver, values))
+        t = voi.timeliness_voi(_age(record, cfg), record.temporal)
+        voi.check_score("timeliness", t)
+        best_value, best_receiver = -1.0, ""  # every value is >= 0
+        for scenario, members in groups:
+            q = voi.quality_voi(record.object_distance, record.sensor, scenario, record.mode)
+            voi.check_score("quality", q)
+            top = None
+            for p, receiver_id in members:
+                # The order of overall_voi, so the sum rounds identically.
+                value = wt * t + wp * p + wq * q
+                if top is None:
+                    top = value
+                elif value != top:
+                    break
+                if value > best_value or (value == best_value and receiver_id < best_receiver):
+                    best_value, best_receiver = value, receiver_id
+        entries.append(RankedEntry(record.id, best_value, best_receiver))
     entries.sort(key=lambda e: (-e.best_value, e.record_id))
     return entries
 
@@ -135,9 +181,9 @@ def filter_broadcast(
 ) -> tuple[list[RankedEntry], list[RankedEntry]]:
     """Split a ranked batch into (transmit, cancelled) at the threshold.
 
-    An entry transmits when its best value reaches cfg.threshold; both
-    returned lists preserve the rank order.
+    An entry transmits when its best value reaches cfg.threshold and is
+    cancelled otherwise; both returned lists preserve the rank order.
     """
     transmit = [e for e in entries if e.best_value >= cfg.threshold]
-    cancelled = [e for e in entries if e.best_value < cfg.threshold]
+    cancelled = [e for e in entries if not e.best_value >= cfg.threshold]
     return transmit, cancelled

@@ -211,9 +211,13 @@ class AttributeScores:
 
     def __post_init__(self) -> None:
         for name in ("proximity", "timeliness", "quality"):
-            value = getattr(self, name)
-            if not (0.0 <= value <= 1.0):
-                raise ValueError(f"{name} score {value!r} is outside [0, 1]")
+            check_score(name, getattr(self, name))
+
+
+def check_score(name: str, value: float) -> None:
+    """Raise if a conditional score is outside [0, 1] or NaN."""
+    if not (0.0 <= value <= 1.0):
+        raise ValueError(f"{name} score {value!r} is outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -221,7 +225,7 @@ class ApplicationProfile:
     """Named attribute weights, constructed by attribute name.
 
     Weight vectors are ordered (timeliness, proximity, quality); the
-    weights must be non-negative and sum to 1.
+    weights must be finite, non-negative and sum to 1.
     """
 
     name: str
@@ -231,6 +235,8 @@ class ApplicationProfile:
 
     def __post_init__(self) -> None:
         weights = (self.timeliness, self.proximity, self.quality)
+        if not all(math.isfinite(w) for w in weights):
+            raise ValueError(f"profile {self.name!r}: weights must be finite, got {weights}")
         if any(w < 0 for w in weights):
             raise ValueError(f"weights must be non-negative, got {weights}")
         if abs(sum(weights) - 1.0) > 1e-9:
@@ -349,15 +355,18 @@ def quality_voi_nonprocessed(
     return quality_voi_processed(obs_distance, sensor) * los_probability(obs_distance, scenario)
 
 
+def quality_voi(obs_distance: float, sensor: SensorModel, scenario: Scenario, mode: str) -> float:
+    """Quality score in a record's mode, processed or non-processed."""
+    if mode == PROCESSED:
+        return quality_voi_processed(obs_distance, sensor)
+    return quality_voi_nonprocessed(obs_distance, sensor, scenario)
+
+
 def attribute_scores(
     ctx: AssessmentContext, params: LogisticParams = DEFAULT_LOGISTIC
 ) -> AttributeScores:
     """Evaluate the three conditional scores for one context."""
-    obs = ctx.resolved_obs_distance
-    if ctx.mode == PROCESSED:
-        quality = quality_voi_processed(obs, ctx.sensor)
-    else:
-        quality = quality_voi_nonprocessed(obs, ctx.sensor, ctx.scenario)
+    quality = quality_voi(ctx.resolved_obs_distance, ctx.sensor, ctx.scenario, ctx.mode)
     return AttributeScores(
         proximity=proximity_voi(ctx.distance, ctx.scenario.safety_distance, params),
         timeliness=timeliness_voi(ctx.aoi, ctx.temporal),

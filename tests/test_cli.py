@@ -309,6 +309,36 @@ def test_schedule_input_errors(capsys, tmp_path):
     )
     assert code == 1 and "no threshold" in err
 
+    rec, rcv = schedule_files(
+        tmp_path,
+        [base_record("r", 10.0)],
+        [{"id": "x", "distance": 100.0, "scenario": "urban"},
+         {"id": "x", "distance": 50.0, "scenario": "highway"}],
+    )
+    code, out, err = run_cli(
+        capsys, "schedule", "--records", rec, "--receivers", rcv,
+        "--profile", "safety", "--threshold", "0.5",
+    )
+    assert code == 1 and out == "" and "duplicate receiver id 'x'" in err
+
+
+def test_schedule_rejects_a_nan_weight(capsys, tmp_path):
+    # json.load accepts the NaN literal.
+    config = tmp_path / "cfg.json"
+    config.write_text('{"profiles": {"p": {"weights": '
+                      '{"timeliness": NaN, "proximity": 0.5, "quality": 0.5}}}}')
+    rec, rcv = schedule_files(
+        tmp_path,
+        [base_record("r1", 10.0), base_record("r2", 20.0)],
+        [{"id": "a", "distance": 100.0, "scenario": "urban"}],
+    )
+    code, out, err = run_cli(
+        capsys, "schedule", "--config", str(config), "--records", rec,
+        "--receivers", rcv, "--profile", "p", "--threshold", "0.5",
+    )
+    assert code == 1 and out == ""
+    assert "profile 'p': weights must be finite" in err
+
 
 def test_presets_listing(capsys):
     code, out, _ = run_cli(capsys, "presets")

@@ -38,6 +38,14 @@ def test_weight_sum_outside_tolerance_is_rejected():
         )
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_weights_are_rejected(bad):
+    with pytest.raises(ValueError, match="profile 'p': weights must be finite"):
+        cfgmod.parse_config(
+            {"profiles": {"p": {"weights": {"timeliness": bad, "proximity": 0.5, "quality": 0.3}}}}
+        )
+
+
 def test_weights_must_be_labeled():
     with pytest.raises(ValueError, match="keys"):
         cfgmod.parse_config({"profiles": {"p": {"weights": [0.2, 0.5, 0.3]}}})

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voinet import scheduler, voi
 
@@ -57,9 +59,10 @@ def test_rank_prefers_the_closest_receiver():
     entries = scheduler.rank(records, views, make_cfg())
     assert [e.record_id for e in entries] == ["a", "b"]
     assert all(e.best_receiver == "near" for e in entries)
-    for entry in entries:
-        values = dict(entry.per_receiver_values)
-        assert entry.best_value == values["near"] > values["far"]
+    for entry, record in zip(entries, records):
+        near = scheduler.score_record(record, views[0], make_cfg())
+        far = scheduler.score_record(record, views[1], make_cfg())
+        assert entry.best_value == near > far
 
 
 def test_rank_ties_break_on_record_id():
@@ -79,6 +82,21 @@ def test_rank_rejects_duplicates_and_empty_receivers():
         scheduler.rank([make_record("dup"), make_record("dup")], [urban_view()], make_cfg())
     with pytest.raises(ValueError, match="receiver"):
         scheduler.rank([make_record()], [], make_cfg())
+    with pytest.raises(ValueError, match="duplicate receiver id 'x'"):
+        scheduler.rank([make_record()], [urban_view("x", 10.0), urban_view("x", 90.0)], make_cfg())
+
+
+def test_rank_keeps_the_per_pair_checks():
+    with pytest.raises(ValueError, match="after the scheduler clock"):
+        scheduler.rank([make_record(t0=5.0)], [urban_view()], make_cfg(now=4.0))
+    cfg = scheduler.SchedulerConfig(
+        profile=voi.SAFETY, threshold=0.5, now=0.1, params=voi.LogisticParams(upper=1.5)
+    )
+    with pytest.raises(ValueError, match=r"proximity score 1\.49\d+ is outside \[0, 1\]"):
+        scheduler.rank([make_record()], [urban_view(d=0.0)], cfg)
+    stale = make_record(temporal=voi.TemporalClass("broken", float("nan")))
+    with pytest.raises(ValueError, match=r"timeliness score nan is outside \[0, 1\]"):
+        scheduler.rank([stale], [urban_view()], make_cfg())
 
 
 def test_reference_batch_reconstructed_per_receiver():
@@ -108,6 +126,13 @@ def test_filter_boundaries():
     assert [e.record_id for e in everything] == ["a", "b"] and nothing == []
     nothing, everything = scheduler.filter_broadcast(entries, make_cfg(threshold=1.0))
     assert nothing == [] and [e.record_id for e in everything] == ["a", "b"]
+
+
+def test_filter_puts_every_entry_in_exactly_one_list():
+    entries = [scheduler.RankedEntry("a", 0.9, "v"), scheduler.RankedEntry("b", float("nan"), "v")]
+    transmit, cancelled = scheduler.filter_broadcast(entries, make_cfg(threshold=0.5))
+    assert [e.record_id for e in transmit] == ["a"]
+    assert [e.record_id for e in cancelled] == ["b"]
 
 
 def test_threshold_validation():
@@ -180,3 +205,70 @@ def test_raising_the_threshold_only_shrinks_the_transmit_set():
         if previous is not None:
             assert ids <= previous
         previous = ids
+
+
+def _tunnel_los(distance):
+    return 0.9 - 0.002 * distance
+
+
+TUNNEL = voi.Scenario("tunnel", v_max=20.0, safety_distance=40.0, los_model=_tunnel_los)
+# Shared distances put receivers of both scenarios at equal range; past
+# 5 km every proximity score rounds to the logistic lower limit.
+receiver_distances = st.one_of(
+    st.sampled_from([0.0, 24.0, 80.0, 150.0]),
+    st.floats(0.0, 600.0),
+    st.floats(5000.0, 1e5),
+)
+record_attributes = st.tuples(
+    st.one_of(st.sampled_from([0.0, 40.0]), st.floats(0.0, 700.0)),
+    st.floats(0.0, 5.0),
+    st.sampled_from([voi.STATIC, voi.VARIABLE, voi.DYNAMIC]),
+    st.sampled_from(list(voi.SENSORS.values())),
+    st.sampled_from(voi.MODES),
+)
+
+
+@st.composite
+def batches(draw):
+    # Each attribute tuple is cloned under several ids, so values tie exactly.
+    groups = draw(st.lists(st.tuples(record_attributes, st.integers(1, 3)), min_size=1, max_size=6))
+    records = [
+        make_record(f"r{i}-{k}", d_o=d_o, t0=-age, temporal=temporal, sensor=sensor, mode=mode)
+        for i, ((d_o, age, temporal, sensor, mode), copies) in enumerate(groups)
+        for k in range(copies)
+    ]
+    placements = draw(st.lists(
+        st.tuples(receiver_distances, st.sampled_from([voi.URBAN, voi.HIGHWAY, TUNNEL])),
+        min_size=1, max_size=10,
+    ))
+    views = [scheduler.ReceiverView(f"v{j}", d, scenario) for j, (d, scenario) in enumerate(placements)]
+    return records, views
+
+
+def reference_rank(records, views, cfg):
+    """score_record over every pair, best by (-value, id), then sorted."""
+    best = []
+    for record in records:
+        value, receiver = min(
+            ((scheduler.score_record(record, v, cfg), v.receiver_id) for v in views),
+            key=lambda vr: (-vr[0], vr[1]),
+        )
+        best.append((record.id, value, receiver))
+    return sorted(best, key=lambda e: (-e[1], e[0]))
+
+
+# The "flat" profile weighs proximity 0, so distinct proximity scores tie.
+@settings(max_examples=300, deadline=None)
+@given(
+    batch=batches(),
+    profile=st.sampled_from([voi.SAFETY, voi.TRAFFIC, voi.ApplicationProfile("flat", 0.5, 0.0, 0.5)]),
+    data=st.data(),
+)
+def test_rank_equals_the_per_pair_reference_bitwise(batch, profile, data):
+    records, views = batch
+    cfg = make_cfg(profile=profile, now=0.0)
+    expected = [(rid, value.hex(), receiver) for rid, value, receiver in reference_rank(records, views, cfg)]
+    shuffled = (data.draw(st.permutations(records)), data.draw(st.permutations(views)))
+    for recs, vs in ((records, views), shuffled):
+        got = [(e.record_id, e.best_value.hex(), e.best_receiver) for e in scheduler.rank(recs, vs, cfg)]
+        assert got == expected

@@ -171,6 +171,12 @@ def test_profile_validation():
     assert voi.SAFETY.weights == (voi.SAFETY.timeliness, voi.SAFETY.proximity, voi.SAFETY.quality)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_profile_rejects_non_finite_weights(bad):
+    with pytest.raises(ValueError, match="profile 'bad': weights must be finite"):
+        voi.ApplicationProfile("bad", bad, 0.5, 0.5)
+
+
 def test_live_derivation_agrees_with_frozen_profiles():
     live = voi.profile_from_matrix("safety", voi.safety_matrix())
     assert live.weights == pytest.approx(voi.SAFETY.weights, abs=1e-8)
