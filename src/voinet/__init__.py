@@ -9,6 +9,8 @@ generation with figure presets (``sweep``). ``voinet.cli`` exposes all of
 it on the command line.
 """
 
+from types import ModuleType as _ModuleType
+
 from .ahp import (
     RANDOM_INDEX,
     ComparisonMatrix,
@@ -61,54 +63,8 @@ from .sweep import CurveSet, SweepSeries, SweepSpec, figure_preset, preset_names
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "RANDOM_INDEX",
-    "ComparisonMatrix",
-    "ConsistencyReport",
-    "EigenSolution",
-    "build_matrix",
-    "consistency",
-    "principal_eigenvector",
-    "ApplicationProfile",
-    "AssessmentContext",
-    "AttributeScores",
-    "LogisticParams",
-    "Scenario",
-    "SensorModel",
-    "TemporalClass",
-    "URBAN",
-    "HIGHWAY",
-    "SCENARIOS",
-    "STATIC",
-    "VARIABLE",
-    "DYNAMIC",
-    "TEMPORAL_CLASSES",
-    "SAFETY",
-    "TRAFFIC",
-    "SENSORS",
-    "PROCESSED",
-    "NON_PROCESSED",
-    "safety_distance",
-    "proximity_voi",
-    "timeliness_voi",
-    "focal_distance",
-    "quality_voi_processed",
-    "quality_voi_nonprocessed",
-    "los_probability",
-    "attribute_scores",
-    "overall_voi",
-    "PerceptionRecord",
-    "ReceiverView",
-    "RankedEntry",
-    "SchedulerConfig",
-    "score_record",
-    "rank",
-    "filter_broadcast",
-    "SweepSpec",
-    "SweepSeries",
-    "CurveSet",
-    "run_sweep",
-    "figure_preset",
-    "preset_names",
-    "__version__",
+# Every public name imported above, so the list is not written twice.
+__all__ = ["__version__"] + [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

@@ -10,30 +10,12 @@ Exit codes: 0 success, 1 input error, 2 consistency rule failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import Any, Mapping
-
-import numpy as np
 
 from . import ahp, config as cfgmod
 from .scheduler import SchedulerConfig, filter_broadcast, rank
-from .sweep import (
-    SweepSeries,
-    SweepSpec,
-    figure_preset,
-    preset_names,
-    run_sweep,
-)
-from .voi import (
-    ATTRIBUTES,
-    BUILTIN_MATRICES,
-    PROCESSED,
-    AssessmentContext,
-    attribute_scores,
-    overall_voi,
-    temporal_from_decay,
-)
+from .sweep import figure_preset, preset_names, run_sweep
+from .voi import BUILTIN_MATRICES, AssessmentContext, attribute_scores, temporal_from_decay
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,25 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_matrix_file(path: str) -> ahp.ComparisonMatrix:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON: {exc}") from None
-    if isinstance(data, list):
-        entries, labels = data, None
-    elif isinstance(data, dict) and "matrix" in data:
-        entries = data["matrix"]
-        labels = data.get("labels")
-    else:
-        raise ValueError(f"{path}: expected a JSON matrix or an object with a 'matrix' key")
-    if labels is None:
-        n = len(entries)
-        labels = ATTRIBUTES if n == 3 else tuple(f"c{i + 1}" for i in range(n))
-    return ahp.ComparisonMatrix(tuple(labels), np.array(entries, dtype=float))
-
-
 def cmd_weights(args: argparse.Namespace) -> int:
     if args.profile is not None:
         try:
@@ -119,7 +82,7 @@ def cmd_weights(args: argparse.Namespace) -> int:
             ) from None
         source = args.profile
     else:
-        matrix = _load_matrix_file(args.matrix)
+        matrix = cfgmod.parse_matrix(cfgmod.read_json(args.matrix), args.matrix)
         source = args.matrix
 
     solution = ahp.principal_eigenvector(matrix)
@@ -148,7 +111,7 @@ def cmd_assess(args: argparse.Namespace) -> int:
     )
     profile = cfgmod.resolve_name(cfg.profiles, args.profile, "profile", "assess")
     scores = attribute_scores(ctx, cfg.logistic)
-    overall = overall_voi(ctx, profile, cfg.logistic)
+    overall = profile.overall(scores.timeliness, scores.proximity, scores.quality)
     print(
         f"overall={overall:.6f} proximity={scores.proximity:.6f} "
         f"timeliness={scores.timeliness:.6f} quality={scores.quality:.6f}"
@@ -156,62 +119,12 @@ def cmd_assess(args: argparse.Namespace) -> int:
     return 0
 
 
-def _series_from_json(obj: Mapping[str, Any], cfg: cfgmod.ConfigDocument, where: str) -> SweepSeries:
-    if "label" not in obj:
-        raise ValueError(f"{where}: series needs a label")
-    kwargs: dict[str, Any] = {"label": str(obj["label"])}
-    if "profile" in obj:
-        kwargs["profile"] = cfgmod.resolve_name(cfg.profiles, obj["profile"], "profile", where)
-    if "scenario" in obj:
-        kwargs["scenario"] = cfgmod.resolve_name(cfg.scenarios, obj["scenario"], "scenario", where)
-    if "sensor" in obj:
-        kwargs["sensor"] = cfgmod.resolve_name(cfg.sensors, obj["sensor"], "sensor", where)
-    if "temporal" in obj:
-        kwargs["temporal"] = cfgmod.parse_temporal(obj["temporal"], where)
-    if "mode" in obj:
-        kwargs["mode"] = cfgmod.resolve_mode(str(obj["mode"]))
-    if "attribute" in obj:
-        kwargs["attribute"] = str(obj["attribute"])
-    for key in ("aoi", "distance", "obs_distance"):
-        if obj.get(key) is not None:
-            kwargs[key] = float(obj[key])
-    return SweepSeries(**kwargs)
-
-
-def _spec_from_file(path: str, cfg: cfgmod.ConfigDocument) -> SweepSpec:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: sweep spec must be a JSON object")
-    for key in ("variable", "start", "stop", "step", "series"):
-        if key not in data:
-            raise ValueError(f"{path}: sweep spec needs {key!r}")
-    series = tuple(
-        _series_from_json(obj, cfg, f"{path} series[{i}]")
-        for i, obj in enumerate(data["series"])
-    )
-    obs_grid = data.get("obs_grid")
-    return SweepSpec(
-        variable=str(data["variable"]),
-        start=float(data["start"]),
-        stop=float(data["stop"]),
-        step=float(data["step"]),
-        series=series,
-        obs_grid=None if obs_grid is None else float(obs_grid),
-        name=str(data.get("name", "custom")),
-        notes=tuple(str(n) for n in data.get("notes", ())),
-    )
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = cfgmod.load_config(args.config)
     if args.figure is not None:
         spec = figure_preset(args.figure)
     else:
-        spec = _spec_from_file(args.spec, cfg)
+        spec = cfgmod.load_sweep_spec(args.spec, cfg)
     curves = run_sweep(spec, cfg.logistic)
     out_path = args.out or f"{spec.name}.csv"
     with open(out_path, "w", newline="") as fh:

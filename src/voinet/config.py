@@ -1,21 +1,23 @@
-"""JSON configuration: named profiles, scenarios, sensors, and defaults.
+"""JSON input: configuration, record batches, comparison matrices, sweep specs.
 
 The built-in names (safety, traffic, urban, highway, low, medium, high)
 are always available; a config file adds to or overrides them. Record
 and receiver batches use the same format, one JSON object per line.
+Every JSON file is parsed here; numeric fields must be finite JSON numbers.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
+import sys
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Mapping
 
 import numpy as np
 
 from . import ahp
 from .scheduler import PerceptionRecord, ReceiverView
+from .sweep import SweepSeries, SweepSpec
 from .voi import (
     ATTRIBUTES,
     DEFAULT_LOGISTIC,
@@ -40,6 +42,7 @@ MODE_ALIASES = {
 }
 
 WEIGHT_SUM_TOL = 1e-6
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -64,37 +67,41 @@ def default_config() -> ConfigDocument:
 
 def parse_config(data: Mapping[str, Any]) -> ConfigDocument:
     base = default_config()
-    profiles = dict(base.profiles)
-    for name, obj in _section(data, "profiles").items():
-        profiles[name] = _parse_profile(name, obj)
-    scenarios = dict(base.scenarios)
-    for name, obj in _section(data, "scenarios").items():
-        scenarios[name] = _parse_scenario(name, obj)
-    sensors = dict(base.sensors)
-    for name, obj in _section(data, "sensors").items():
-        sensors[name] = _parse_sensor(name, obj)
-
+    tables = {
+        key: getattr(base, key) | {name: parse(name, obj) for name, obj in _section(data, key).items()}
+        for key, parse in (
+            ("profiles", _parse_profile), ("scenarios", _parse_scenario), ("sensors", _parse_sensor)
+        )
+    }
     defaults = _section(data, "defaults")
     logistic = _parse_logistic(_section(defaults, "logistic"))
-    threshold = defaults.get("threshold")
-    if threshold is not None:
-        threshold = float(threshold)
+    threshold = None
+    if defaults.get("threshold") is not None:
+        threshold = _number(defaults, "threshold", "defaults")
         if not (0.0 <= threshold <= 1.0):
             raise ValueError(f"defaults.threshold must be in [0, 1], got {threshold}")
-    return ConfigDocument(profiles, scenarios, sensors, logistic, threshold)
+    return ConfigDocument(**tables, logistic=logistic, threshold=threshold)
+
+
+def read_json(path: str) -> Any:
+    """Parse one JSON file, naming the file if it is not valid JSON."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON: {exc}") from None
 
 
 def load_config(path: str | None) -> ConfigDocument:
     if path is None:
         return default_config()
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON: {exc}") from None
+    data = read_json(path)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    return parse_config(data)
+    try:
+        return parse_config(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def to_dict(cfg: ConfigDocument) -> dict[str, Any]:
@@ -112,20 +119,25 @@ def to_dict(cfg: ConfigDocument) -> dict[str, Any]:
             name: {"height": s.height, "fov": s.fov, "resolution": s.resolution}
             for name, s in cfg.sensors.items()
         },
-        "defaults": {
-            "logistic": {
-                "upper": cfg.logistic.upper,
-                "lower": cfg.logistic.lower,
-                "offset": cfg.logistic.offset,
-                "scale": cfg.logistic.scale,
-                "decay": cfg.logistic.decay,
-                "shape": cfg.logistic.shape,
-            }
-        },
+        "defaults": {"logistic": asdict(cfg.logistic)},
     }
     if cfg.threshold is not None:
         doc["defaults"]["threshold"] = cfg.threshold
     return doc
+
+
+def _is_finite_number(value: Any) -> bool:
+    # The exact type test keeps out bool, an int subclass; int/float comparison
+    # is exact, so NaN, +-Infinity and ints too large for a float all fail.
+    return type(value) in (int, float) and -_FLOAT_MAX <= value <= _FLOAT_MAX
+
+
+def _number(obj: Mapping[str, Any], key: str, where: str, default: float | None = None) -> float:
+    """obj[key] as a finite float; a default, when given, stands in for a missing key."""
+    value = obj.get(key, default) if default is not None else _require(obj, key, where)
+    if not _is_finite_number(value):
+        raise ValueError(f"{where}: field {key!r} must be a finite number, got {json.dumps(value)}")
+    return float(value)
 
 
 def _section(data: Mapping[str, Any], key: str) -> Mapping[str, Any]:
@@ -144,9 +156,9 @@ def _parse_profile(name: str, obj: Any) -> ApplicationProfile:
             raise ValueError(
                 f"profile {name!r}: weights must be an object with keys {ATTRIBUTES}"
             )
+        if not all(_is_finite_number(weights[k]) for k in ATTRIBUTES):
+            raise ValueError(f"profile {name!r}: weights must be finite numbers, got {dict(weights)}")
         values = {k: float(weights[k]) for k in ATTRIBUTES}
-        if not all(math.isfinite(v) for v in values.values()):
-            raise ValueError(f"profile {name!r}: weights must be finite, got {values}")
         total = sum(values.values())
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"profile {name!r}: weights sum to {total!r}, expected 1")
@@ -154,48 +166,64 @@ def _parse_profile(name: str, obj: Any) -> ApplicationProfile:
             values = {k: v / total for k, v in values.items()}
         return ApplicationProfile(name, **values)
     if "matrix" in obj:
-        labels = tuple(obj.get("labels", ATTRIBUTES))
-        entries = np.array(obj["matrix"], dtype=float)
-        matrix = ahp.ComparisonMatrix(labels, entries)
-        return profile_from_matrix(name, matrix)
+        return profile_from_matrix(name, parse_matrix(obj, f"profile {name!r}"))
     raise ValueError(f"profile {name!r} needs either weights or matrix")
+
+
+def parse_matrix(data: Any, where: str) -> ahp.ComparisonMatrix:
+    """A comparison matrix from a list of rows, or an object with 'matrix' and 'labels'.
+
+    Without labels a 3x3 matrix is labeled with ATTRIBUTES and any other
+    size with c1..cn.
+    """
+    if isinstance(data, list):
+        entries, labels = data, None
+    elif isinstance(data, Mapping) and "matrix" in data:
+        entries, labels = data["matrix"], data.get("labels")
+    else:
+        raise ValueError(f"{where}: expected a JSON matrix or an object with a 'matrix' key")
+    if not isinstance(entries, list) or not all(
+        isinstance(row, list) and all(_is_finite_number(v) for v in row) for row in entries
+    ):
+        raise ValueError(f"{where}: the matrix must be a list of rows of finite numbers")
+    if labels is None:
+        n = len(entries)
+        labels = ATTRIBUTES if n == 3 else tuple(f"c{i + 1}" for i in range(n))
+    elif not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
+        raise ValueError(f"{where}: labels must be a list of strings")
+    return ahp.ComparisonMatrix(tuple(labels), np.array(entries, dtype=float))
 
 
 def _parse_scenario(name: str, obj: Any) -> Scenario:
     if not isinstance(obj, Mapping):
         raise ValueError(f"scenario {name!r} must be an object")
-    kind = obj.get("kind", name)
+    kind = str(obj.get("kind", name))
+    where = f"scenario {name!r}"
     if "v_max" not in obj and "safety_distance" not in obj:
-        raise ValueError(f"scenario {name!r} needs v_max and/or safety_distance")
+        raise ValueError(f"{where} needs v_max and/or safety_distance")
     if "safety_distance" in obj:
-        anchor = float(obj["safety_distance"])
-        v_max = float(obj.get("v_max", anchor / 2.0))
-        return Scenario(kind, v_max, anchor)
-    return Scenario.from_speed_limit(kind, float(obj["v_max"]))
+        anchor = _number(obj, "safety_distance", where)
+        return Scenario(kind, _number(obj, "v_max", where, anchor / 2.0), anchor)
+    return Scenario.from_speed_limit(kind, _number(obj, "v_max", where))
 
 
 def _parse_sensor(name: str, obj: Any) -> SensorModel:
     if not isinstance(obj, Mapping):
         raise ValueError(f"sensor {name!r} must be an object")
-    if "resolution" not in obj:
-        raise ValueError(f"sensor {name!r} needs a resolution")
+    where = f"sensor {name!r}"
     return SensorModel(
-        height=float(obj.get("height", 1.2)),
-        fov=float(obj.get("fov", 70.0)),
-        resolution=float(obj["resolution"]),
+        height=_number(obj, "height", where, 1.2),
+        fov=_number(obj, "fov", where, 70.0),
+        resolution=_number(obj, "resolution", where),
     )
 
 
 def _parse_logistic(obj: Mapping[str, Any]) -> LogisticParams:
-    known = ("upper", "lower", "offset", "scale", "decay", "shape")
+    known = [f.name for f in fields(LogisticParams)]
     unknown = set(obj) - set(known)
     if unknown:
-        raise ValueError(f"unknown logistic parameters {sorted(unknown)}; known: {list(known)}")
-    values = {k: float(obj[k]) for k in known if k in obj}
-    if not values:
-        return DEFAULT_LOGISTIC
-    merged = {k: values.get(k, getattr(DEFAULT_LOGISTIC, k)) for k in known}
-    return LogisticParams(**merged)
+        raise ValueError(f"unknown logistic parameters {sorted(unknown)}; known: {known}")
+    return replace(DEFAULT_LOGISTIC, **{k: _number(obj, k, "defaults.logistic") for k in obj})
 
 
 def resolve_mode(raw: str) -> str:
@@ -236,14 +264,16 @@ def _iter_jsonl(path: str):
             yield where, obj
 
 
-def parse_temporal(raw: Any, where: str):
+def parse_temporal(obj: Mapping[str, Any], where: str):
+    """The object's "temporal" field: a class name or a decay rate."""
+    raw = _require(obj, "temporal", where)
     if isinstance(raw, str):
         if raw in TEMPORAL_CLASSES:
             return TEMPORAL_CLASSES[raw]
         raise ValueError(
             f"{where}: unknown temporal class {raw!r}; known: {sorted(TEMPORAL_CLASSES)}"
         )
-    return temporal_from_decay(float(raw))
+    return temporal_from_decay(_number(obj, "temporal", where))
 
 
 def load_records(path: str, cfg: ConfigDocument) -> list[PerceptionRecord]:
@@ -258,9 +288,9 @@ def load_records(path: str, cfg: ConfigDocument) -> list[PerceptionRecord]:
             PerceptionRecord(
                 id=str(_require(obj, "id", where)),
                 source_vehicle=str(_require(obj, "source", where)),
-                generated_at=float(_require(obj, "t0", where)),
-                object_distance=float(_require(obj, "d_o", where)),
-                temporal=parse_temporal(_require(obj, "temporal", where), where),
+                generated_at=_number(obj, "t0", where),
+                object_distance=_number(obj, "d_o", where),
+                temporal=parse_temporal(obj, where),
                 sensor=resolve_name(cfg.sensors, str(_require(obj, "sensor", where)), "sensor", where),
                 mode=resolve_mode(str(obj.get("mode", PROCESSED))),
             )
@@ -275,10 +305,57 @@ def load_receivers(path: str, cfg: ConfigDocument) -> list[ReceiverView]:
         receivers.append(
             ReceiverView(
                 receiver_id=str(_require(obj, "id", where)),
-                distance=float(_require(obj, "distance", where)),
+                distance=_number(obj, "distance", where),
                 scenario=resolve_name(
                     cfg.scenarios, str(_require(obj, "scenario", where)), "scenario", where
                 ),
             )
         )
     return receivers
+
+
+def _parse_series(obj: Any, cfg: ConfigDocument, where: str) -> SweepSeries:
+    if not isinstance(obj, Mapping):
+        raise ValueError(f"{where}: a series must be a JSON object")
+    kwargs: dict[str, Any] = {"label": str(_require(obj, "label", where))}
+    for key, table in (("profile", cfg.profiles), ("scenario", cfg.scenarios), ("sensor", cfg.sensors)):
+        if key in obj:
+            kwargs[key] = resolve_name(table, str(obj[key]), key, where)
+    if "temporal" in obj:
+        kwargs["temporal"] = parse_temporal(obj, where)
+    if "mode" in obj:
+        kwargs["mode"] = resolve_mode(str(obj["mode"]))
+    if "attribute" in obj:
+        kwargs["attribute"] = str(obj["attribute"])
+    for key in ("aoi", "distance", "obs_distance"):
+        if obj.get(key) is not None:
+            kwargs[key] = _number(obj, key, where)
+    return SweepSeries(**kwargs)
+
+
+def load_sweep_spec(path: str, cfg: ConfigDocument) -> SweepSpec:
+    """Read a sweep spec; profile, scenario and sensor names resolve in cfg."""
+    data = read_json(path)
+    try:
+        if not isinstance(data, dict):
+            raise ValueError("sweep spec must be a JSON object")
+        for key in ("variable", "start", "stop", "step", "series"):
+            if key not in data:
+                raise ValueError(f"sweep spec needs {key!r}")
+        notes = data.get("notes", [])
+        if not isinstance(data["series"], list) or not isinstance(notes, list):
+            raise ValueError("fields 'series' and 'notes' must be JSON lists")
+        return SweepSpec(
+            variable=str(data["variable"]),
+            start=_number(data, "start", "sweep spec"),
+            stop=_number(data, "stop", "sweep spec"),
+            step=_number(data, "step", "sweep spec"),
+            series=tuple(
+                _parse_series(obj, cfg, f"series[{i}]") for i, obj in enumerate(data["series"])
+            ),
+            obs_grid=None if data.get("obs_grid") is None else _number(data, "obs_grid", "sweep spec"),
+            name=str(data.get("name", "custom")),
+            notes=tuple(str(n) for n in notes),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -151,7 +151,7 @@ def rank(
     _reject_duplicates((v.receiver_id for v in receivers), "receiver")
     _reject_duplicates((r.id for r in records), "record")
     groups = _proximity_groups(receivers, cfg)
-    wt, wp, wq = cfg.profile.weights
+    overall = cfg.profile.overall
 
     entries = []
     for record in records:
@@ -163,8 +163,7 @@ def rank(
             voi.check_score("quality", q)
             top = None
             for p, receiver_id in members:
-                # The order of overall_voi, so the sum rounds identically.
-                value = wt * t + wp * p + wq * q
+                value = overall(t, p, q)
                 if top is None:
                     top = value
                 elif value != top:

@@ -9,7 +9,7 @@ tests; `run_sweep` also accepts hand-built specs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from io import StringIO
 
 from .voi import (
@@ -33,12 +33,12 @@ from .voi import (
     TemporalClass,
     overall_voi,
     proximity_voi,
-    quality_voi_nonprocessed,
-    quality_voi_processed,
+    quality_voi,
     timeliness_voi,
 )
 
 VARIABLES = ("distance", "aoi")
+MAX_GRID_POINTS = 100_000  # every preset uses 51; far more means a mistyped step
 ATTRIBUTE_CHOICES = ("overall", "proximity", "timeliness", "quality")
 
 # Sensor resolution used by the reference curves. The nominal 1080 px
@@ -94,6 +94,7 @@ class SweepSpec:
     obs_grid, when set, snaps the derived observation distance of
     overall-score series down to a multiple of itself (the reference
     curves sample d_o this way); explicit per-series obs_distance wins.
+    points, the grid size, is derived and capped at MAX_GRID_POINTS.
     """
 
     variable: str
@@ -104,10 +105,14 @@ class SweepSpec:
     obs_grid: float | None = None
     name: str = "custom"
     notes: tuple[str, ...] = ()
+    points: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.variable not in VARIABLES:
             raise ValueError(f"variable must be one of {VARIABLES}, got {self.variable!r}")
+        for name in ("start", "stop", "step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.step <= 0:
             raise ValueError(f"step must be positive, got {self.step}")
         if self.start > self.stop:
@@ -116,8 +121,8 @@ class SweepSpec:
             raise ValueError(f"start must be non-negative, got {self.start}")
         if not self.series:
             raise ValueError("at least one series is required")
-        if self.obs_grid is not None and self.obs_grid <= 0:
-            raise ValueError(f"obs_grid must be positive, got {self.obs_grid}")
+        if self.obs_grid is not None and not (0.0 < self.obs_grid < math.inf):
+            raise ValueError(f"obs_grid must be positive and finite, got {self.obs_grid}")
         labels = [s.label for s in self.series]
         if len(set(labels)) != len(labels):
             raise ValueError(f"series labels must be unique, got {labels}")
@@ -128,12 +133,16 @@ class SweepSpec:
                 raise ValueError(f"series {s.label!r}: aoi sweep needs a fixed distance")
             if s.attribute == "quality" and self.variable == "aoi" and s.distance is None and s.obs_distance is None:
                 raise ValueError(f"series {s.label!r}: aoi sweep needs a fixed observation distance")
+        steps = (self.stop - self.start) / self.step + 1e-9  # inf for a vanishingly small step
+        points = int(steps) + 1 if steps < math.inf else steps
+        if points > MAX_GRID_POINTS:
+            raise ValueError(f"the sweep grid would have {points} points, more than {MAX_GRID_POINTS}")
+        object.__setattr__(self, "points", points)
 
     def grid(self) -> tuple[float, ...]:
         # start + i*step keeps shared abscissae bitwise stable when the
         # step is refined by an integer factor.
-        count = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
-        return tuple(self.start + i * self.step for i in range(count))
+        return tuple(self.start + i * self.step for i in range(self.points))
 
 
 @dataclass(frozen=True)
@@ -215,9 +224,7 @@ def _evaluate(
     if series.attribute == "quality":
         # The sweep variable is the observation distance here.
         obs = distance if series.obs_distance is None else series.obs_distance
-        if series.mode == PROCESSED:
-            return quality_voi_processed(obs, series.sensor)
-        return quality_voi_nonprocessed(obs, series.sensor, series.scenario)
+        return quality_voi(obs, series.sensor, series.scenario, series.mode)
 
     ctx = AssessmentContext(
         distance=distance,

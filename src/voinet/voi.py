@@ -42,6 +42,9 @@ class LogisticParams:
     shape: float = 0.2
 
     def __post_init__(self) -> None:
+        for name in ("upper", "lower", "offset", "scale", "decay", "shape"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"logistic {name} must be finite, got {getattr(self, name)}")
         for name in ("offset", "scale", "decay", "shape"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -246,6 +249,13 @@ class ApplicationProfile:
     def weights(self) -> tuple[float, float, float]:
         return (self.timeliness, self.proximity, self.quality)
 
+    def overall(self, timeliness: float, proximity: float, quality: float) -> float:
+        """The weighted sum of the three conditional scores.
+
+        Every overall value is computed here, so all callers round alike.
+        """
+        return self.timeliness * timeliness + self.proximity * proximity + self.quality * quality
+
 
 # Converged eigenvector weights of safety_matrix() and traffic_matrix();
 # the live derivation must agree with these within 1e-4 (tested).
@@ -381,8 +391,4 @@ def overall_voi(
 ) -> float:
     """Weighted overall value of information for one context, in [0, 1]."""
     scores = attribute_scores(ctx, params)
-    return (
-        profile.timeliness * scores.timeliness
-        + profile.proximity * scores.proximity
-        + profile.quality * scores.quality
-    )
+    return profile.overall(scores.timeliness, scores.proximity, scores.quality)

@@ -14,6 +14,10 @@ from pathlib import Path
 
 DATA_DIR = Path(__file__).parent / "data"
 
+# JSON values that are not finite numbers; every numeric input field must
+# reject each of them (json.dumps writes the floats as NaN / +-Infinity).
+NOT_FINITE_NUMBERS = (True, "1", [1], float("nan"), float("inf"), float("-inf"))
+
 # Rows ordered (timeliness, proximity, quality).
 SAFETY_ROWS = (
     (1.0, 1.0 / 7.0, 1.0),

@@ -1,7 +1,9 @@
+import copy
 import json
 
 import pytest
 
+from conftest import NOT_FINITE_NUMBERS
 from voinet.cli import main
 
 
@@ -75,6 +77,15 @@ def test_weights_saaty_range_diagnostic(capsys, tmp_path):
     assert code == 1
     assert "Saaty range" in err
     assert "(timeliness, proximity)" in err
+
+
+@pytest.mark.parametrize("bad", NOT_FINITE_NUMBERS)
+def test_weights_matrix_entries_must_be_finite_numbers(capsys, tmp_path, bad):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"matrix": [[1, bad, 1], [1, 1, 1], [1, 1, 1]]}))
+    code, out, err = run_cli(capsys, "weights", "--matrix", str(path))
+    assert code == 1 and out == ""
+    assert f"{path}: the matrix must be a list of rows of finite numbers" in err
 
 
 def test_weights_unknown_profile(capsys):
@@ -191,6 +202,32 @@ def test_sweep_spec_missing_key(capsys, tmp_path):
     code, _, err = run_cli(capsys, "sweep", "--spec", str(path))
     assert code == 1
     assert "needs 'start'" in err
+
+    good = {
+        "variable": "distance", "start": 0, "stop": 10, "step": 5,
+        "series": [{"label": "s", "attribute": "overall", "profile": "safety", "scenario": "urban",
+                    "temporal": "variable", "sensor": "medium", "aoi": 0.1}],
+    }
+    out_path = str(tmp_path / "never.csv")
+    for bad in NOT_FINITE_NUMBERS:
+        for field in ("start", "stop", "step", "aoi"):
+            spec = copy.deepcopy(good)
+            (spec["series"][0] if field == "aoi" else spec)[field] = bad
+            path.write_text(json.dumps(spec))
+            code, out, err = run_cli(capsys, "sweep", "--spec", str(path), "--out", out_path)
+            assert code == 1 and out == ""
+            assert err.startswith(f"error: {path}: ")
+            assert f"field '{field}' must be a finite number, got {json.dumps(bad)}" in err
+            assert "Traceback" not in err
+    for spec, message in (
+        (dict(good, series=[5]), "series[0]: a series must be a JSON object"),
+        (dict(good, series=5), "fields 'series' and 'notes' must be JSON lists"),
+        (dict(good, stop=1e9, step=1e-3), "the sweep grid would have 1000000000001 points"),
+    ):
+        path.write_text(json.dumps(spec))
+        code, _, err = run_cli(capsys, "sweep", "--spec", str(path), "--out", out_path)
+        assert code == 1 and f"{path}: {message}" in err
+    assert not (tmp_path / "never.csv").exists()
 
 
 def schedule_files(tmp_path, records, receivers):
@@ -320,6 +357,21 @@ def test_schedule_input_errors(capsys, tmp_path):
         "--profile", "safety", "--threshold", "0.5",
     )
     assert code == 1 and out == "" and "duplicate receiver id 'x'" in err
+
+    for bad in NOT_FINITE_NUMBERS:
+        for field, where in (("t0", "records.jsonl:2"), ("d_o", "records.jsonl:2"),
+                             ("distance", "receivers.jsonl:1")):
+            records = [base_record("ok", 10.0), base_record("r", 10.0)]
+            receivers = [{"id": "a", "distance": 100.0, "scenario": "urban"}]
+            (receivers[0] if field == "distance" else records[1])[field] = bad
+            rec, rcv = schedule_files(tmp_path, records, receivers)
+            code, out, err = run_cli(
+                capsys, "schedule", "--records", rec, "--receivers", rcv,
+                "--profile", "safety", "--threshold", "0.5",
+            )
+            assert code == 1 and out == ""
+            assert f"{where}: field '{field}' must be a finite number, got {json.dumps(bad)}" in err
+            assert "Traceback" not in err
 
 
 def test_schedule_rejects_a_nan_weight(capsys, tmp_path):

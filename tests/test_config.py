@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import NOT_FINITE_NUMBERS
 from voinet import config as cfgmod
 from voinet import voi
 
@@ -144,6 +145,22 @@ def test_load_config_rejects_bad_documents(tmp_path):
     with pytest.raises(ValueError, match="JSON object"):
         cfgmod.load_config(str(path))
     assert cfgmod.load_config(None) == cfgmod.default_config()
+    for bad in NOT_FINITE_NUMBERS:
+        for doc, message in (
+            ({"defaults": {"threshold": bad}}, "defaults: field 'threshold' must be a finite number"),
+            ({"defaults": {"logistic": {"decay": bad}}},
+             "defaults.logistic: field 'decay' must be a finite number"),
+            ({"scenarios": {"s": {"kind": "urban", "v_max": bad}}},
+             "scenario 's': field 'v_max' must be a finite number"),
+            ({"sensors": {"s": {"resolution": bad}}},
+             "sensor 's': field 'resolution' must be a finite number"),
+            ({"profiles": {"p": {"weights": {"timeliness": bad, "proximity": 0.5, "quality": 0.5}}}},
+             "profile 'p': weights must be finite numbers"),
+        ):
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ValueError) as info:
+                cfgmod.load_config(str(path))
+            assert str(info.value).startswith(f"{path}: {message}")
 
 
 def write_lines(path, objs):
@@ -183,6 +200,16 @@ def test_load_records_error_reporting(tmp_path):
     path.write_text("{oops\n")
     with pytest.raises(ValueError, match=":1: invalid JSON"):
         cfgmod.load_records(str(path), cfg)
+    for bad in NOT_FINITE_NUMBERS:
+        # A string temporal names a class, so only non-strings reach the number check.
+        for field in ("t0", "d_o") + (() if isinstance(bad, str) else ("temporal",)):
+            record = {"id": "r1", "source": "v", "t0": 0, "d_o": 1, "temporal": 1, "sensor": "medium"}
+            path.write_text("\n" + json.dumps(dict(record, **{field: bad})) + "\n")
+            with pytest.raises(ValueError) as info:
+                cfgmod.load_records(str(path), cfg)
+            assert str(info.value) == (
+                f"{path}:2: field '{field}' must be a finite number, got {json.dumps(bad)}"
+            )
 
 
 def test_load_receivers(tmp_path):

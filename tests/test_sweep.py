@@ -123,6 +123,20 @@ def test_spec_validation():
         dataclasses.replace(spec, series=spec.series + spec.series[:1])
     with pytest.raises(ValueError, match="at least one series"):
         dataclasses.replace(spec, series=())
+    for name in ("start", "stop", "step"):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                dataclasses.replace(spec, **{name: bad})
+    with pytest.raises(ValueError, match="obs_grid"):
+        dataclasses.replace(spec, obs_grid=float("inf"))
+    # The cap is arithmetic only: a 10**12-point request builds nothing.
+    with pytest.raises(ValueError, match="would have 1000000000001 points, more than 100000"):
+        dataclasses.replace(spec, stop=1e9, step=1e-3)
+    with pytest.raises(ValueError, match="would have inf points"):
+        dataclasses.replace(spec, stop=1e300, step=1e-300)
+    assert dataclasses.replace(spec, start=0.0, stop=sweep.MAX_GRID_POINTS - 1.0, step=1.0).points == sweep.MAX_GRID_POINTS
+    with pytest.raises(ValueError, match="100001 points"):
+        dataclasses.replace(spec, start=0.0, stop=float(sweep.MAX_GRID_POINTS), step=1.0)
 
 
 def test_series_validation():

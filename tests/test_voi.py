@@ -80,6 +80,10 @@ def test_logistic_params_validation():
         voi.LogisticParams(decay=0.0)
     with pytest.raises(ValueError, match="shape"):
         voi.LogisticParams(shape=-0.2)
+    for name in ("upper", "lower", "offset", "scale", "decay", "shape"):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"logistic {name} must be finite"):
+                voi.LogisticParams(**{name: bad})
 
 
 def test_custom_logistic_params_change_the_curve():
@@ -217,6 +221,7 @@ def test_overall_is_the_weighted_sum_of_the_conditionals():
         + voi.SAFETY.quality * scores.quality
     )
     assert voi.overall_voi(ctx, voi.SAFETY) == expected
+    assert voi.SAFETY.overall(scores.timeliness, scores.proximity, scores.quality) == expected
 
 
 def test_zero_weight_attribute_is_ignored():
