@@ -8,10 +8,9 @@ consistency ratio gates the quality of the chosen scores.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
-
-import numpy as np
 
 SAATY_MIN = 1.0 / 9.0
 SAATY_MAX = 9.0
@@ -38,13 +37,14 @@ CONSISTENCY_LIMIT = 0.1
 class ComparisonMatrix:
     """Positive reciprocal matrix of pairwise attribute scores.
 
-    Entries must lie on the Saaty scale [1/9, 9], the diagonal must be
-    exactly 1, and ``entries[j][k] * entries[k][j]`` must equal 1 within
-    ``RECIPROCITY_TOL``.
+    ``entries`` is taken from any nested sequence of rows and stored as a
+    tuple of float tuples, so it cannot be changed. Entries must lie on the
+    Saaty scale [1/9, 9], the diagonal must be exactly 1, and
+    ``entries[j][k] * entries[k][j]`` must equal 1 within ``RECIPROCITY_TOL``.
     """
 
     labels: tuple[str, ...]
-    entries: np.ndarray
+    entries: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
         labels = tuple(self.labels)
@@ -53,26 +53,30 @@ class ComparisonMatrix:
             raise ValueError(f"need at least 2 attributes, got {len(labels)}")
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate attribute labels in {labels}")
-        entries = np.array(self.entries, dtype=float)
         n = len(labels)
-        if entries.shape != (n, n):
-            raise ValueError(f"expected a {n}x{n} matrix, got shape {entries.shape}")
+        entries = tuple(tuple(float(v) for v in row) for row in self.entries)
+        lengths = [len(row) for row in entries]
+        if lengths != [n] * n:
+            if len(set(lengths)) == 1:
+                got = f"shape {(len(entries), lengths[0])}"
+            else:
+                got = f"row lengths {lengths}"
+            raise ValueError(f"expected a {n}x{n} matrix, got {got}")
         for j in range(n):
-            if entries[j, j] != 1.0:
-                raise ValueError(f"diagonal entry for {labels[j]!r} is {entries[j, j]}, must be 1")
+            if entries[j][j] != 1.0:
+                raise ValueError(f"diagonal entry for {labels[j]!r} is {entries[j][j]}, must be 1")
             for k in range(n):
-                score = entries[j, k]
+                score = entries[j][k]
                 if not (SAATY_MIN <= score <= SAATY_MAX):
                     raise ValueError(
                         f"score {score:g} for pair ({labels[j]}, {labels[k]}) is outside "
                         f"the Saaty range [1/9, 9]"
                     )
-                if j < k and abs(entries[j, k] * entries[k, j] - 1.0) > RECIPROCITY_TOL:
+                if j < k and abs(entries[j][k] * entries[k][j] - 1.0) > RECIPROCITY_TOL:
                     raise ValueError(
                         f"entries for pair ({labels[j]}, {labels[k]}) are not reciprocal: "
-                        f"{entries[j, k]!r} vs {entries[k, j]!r}"
+                        f"{entries[j][k]!r} vs {entries[k][j]!r}"
                     )
-        entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -128,7 +132,7 @@ def build_matrix(
     if len(index) != len(labels):
         raise ValueError(f"duplicate attribute labels in {labels}")
     n = len(labels)
-    entries = np.eye(n)
+    entries = [[1.0 if j == k else 0.0 for k in range(n)] for j in range(n)]
     seen = set()
     for (a, b), score in upper_triangle.items():
         if a not in index or b not in index:
@@ -140,8 +144,8 @@ def build_matrix(
             raise ValueError(
                 f"score {score:g} for pair ({a}, {b}) is outside the Saaty range [1/9, 9]"
             )
-        entries[j, k] = score
-        entries[k, j] = 1.0 / score
+        entries[j][k] = score
+        entries[k][j] = 1.0 / score
         seen.add((j, k))
     missing = [(labels[j], labels[k]) for j in range(n) for k in range(j + 1, n) if (j, k) not in seen]
     if missing:
@@ -176,24 +180,29 @@ def principal_eigenvector(
         raise ValueError(f"tol must be positive, got {tol}")
     n = m.n
     if start is None:
-        w = np.full(n, 1.0 / n)
+        w = [1.0 / n] * n
     else:
-        w = np.array(start, dtype=float)
-        if w.shape != (n,) or np.any(w <= 0):
+        w = [float(x) for x in start]
+        if len(w) != n or any(x <= 0 for x in w):
             raise ValueError(f"start vector must be {n} positive entries")
-        w = w / w.sum()
-    entries = m.entries
-    residual = np.inf
+        total = sum(w)
+        w = [x / total for x in w]
+    residual = math.inf
     for _ in range(max_iter):
-        y = entries @ w
-        lam = float(w @ y) / float(w @ w)
-        residual = float(np.max(np.abs(y - lam * w)))
+        y = [_dot(row, w) for row in m.entries]
+        lam = _dot(w, y) / _dot(w, w)
+        residual = max(abs(yi - lam * wi) for yi, wi in zip(y, w))
         if residual <= tol * lam:
             return EigenSolution(lambda_max=lam, weights=tuple(w))
-        w = y / y.sum()
+        total = sum(y)
+        w = [yi / total for yi in y]
     raise RuntimeError(
         f"power iteration did not converge in {max_iter} iterations (residual {residual:.3e})"
     )
+
+
+def _dot(u: Sequence[float], v: Sequence[float]) -> float:
+    return sum(a * b for a, b in zip(u, v))
 
 
 def consistency(sol: EigenSolution, n: int) -> ConsistencyReport:

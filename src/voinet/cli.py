@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 input error, 2 consistency rule failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import ahp, config as cfgmod
@@ -24,6 +25,17 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,11 +53,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_assess.add_argument("--profile", required=True)
     p_assess.add_argument("--scenario", default="urban")
     p_assess.add_argument("--sensor", default="medium")
-    p_assess.add_argument("--distance", type=float, required=True)
-    p_assess.add_argument("--aoi", type=float, default=0.0)
-    p_assess.add_argument("--ptd", type=float, default=1.0, help="temporal decay rate (1/s)")
+    p_assess.add_argument("--distance", type=_finite_float, required=True)
+    p_assess.add_argument("--aoi", type=_finite_float, default=0.0)
+    p_assess.add_argument("--ptd", type=_finite_float, default=1.0, help="temporal decay rate (1/s)")
     p_assess.add_argument("--mode", choices=["processed", "nonprocessed"], default="processed")
-    p_assess.add_argument("--obs-distance", type=float, default=None)
+    p_assess.add_argument("--obs-distance", type=_finite_float, default=None)
     p_assess.set_defaults(func=cmd_assess)
 
     p_sweep = sub.add_parser("sweep", help="evaluate a sweep and write CSV")
@@ -61,8 +73,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sched.add_argument("--records", required=True, help="JSON-lines record file")
     p_sched.add_argument("--receivers", required=True, help="JSON-lines receiver file")
     p_sched.add_argument("--profile", required=True)
-    p_sched.add_argument("--threshold", type=float, default=None)
-    p_sched.add_argument("--now", type=float, default=None, help="evaluation instant (default: latest t0)")
+    p_sched.add_argument("--threshold", type=_finite_float, default=None)
+    p_sched.add_argument(
+        "--now", type=_finite_float, default=None, help="evaluation instant (default: latest t0)"
+    )
     p_sched.add_argument("--out", help="output CSV path (default: stdout)")
     p_sched.set_defaults(func=cmd_schedule)
 

@@ -13,8 +13,6 @@ import sys
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Mapping
 
-import numpy as np
-
 from . import ahp
 from .scheduler import PerceptionRecord, ReceiverView
 from .sweep import SweepSeries, SweepSpec
@@ -186,12 +184,18 @@ def parse_matrix(data: Any, where: str) -> ahp.ComparisonMatrix:
         isinstance(row, list) and all(_is_finite_number(v) for v in row) for row in entries
     ):
         raise ValueError(f"{where}: the matrix must be a list of rows of finite numbers")
+    n = len(entries)
+    for i, row in enumerate(entries, 1):
+        if len(row) != n:
+            raise ValueError(f"{where}: row {i} has {len(row)} entries, expected {n}")
     if labels is None:
-        n = len(entries)
         labels = ATTRIBUTES if n == 3 else tuple(f"c{i + 1}" for i in range(n))
     elif not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
         raise ValueError(f"{where}: labels must be a list of strings")
-    return ahp.ComparisonMatrix(tuple(labels), np.array(entries, dtype=float))
+    try:
+        return ahp.ComparisonMatrix(tuple(labels), entries)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _parse_scenario(name: str, obj: Any) -> Scenario:
@@ -273,7 +277,11 @@ def parse_temporal(obj: Mapping[str, Any], where: str):
         raise ValueError(
             f"{where}: unknown temporal class {raw!r}; known: {sorted(TEMPORAL_CLASSES)}"
         )
-    return temporal_from_decay(_number(obj, "temporal", where))
+    decay = _number(obj, "temporal", where)
+    try:
+        return temporal_from_decay(decay)
+    except ValueError as exc:
+        raise ValueError(f"{where}: field 'temporal': {exc}") from None
 
 
 def load_records(path: str, cfg: ConfigDocument) -> list[PerceptionRecord]:
@@ -284,17 +292,21 @@ def load_records(path: str, cfg: ConfigDocument) -> list[PerceptionRecord]:
     """
     records = []
     for where, obj in _iter_jsonl(path):
-        records.append(
-            PerceptionRecord(
-                id=str(_require(obj, "id", where)),
-                source_vehicle=str(_require(obj, "source", where)),
-                generated_at=_number(obj, "t0", where),
-                object_distance=_number(obj, "d_o", where),
-                temporal=parse_temporal(obj, where),
-                sensor=resolve_name(cfg.sensors, str(_require(obj, "sensor", where)), "sensor", where),
-                mode=resolve_mode(str(obj.get("mode", PROCESSED))),
-            )
+        args = (
+            str(_require(obj, "id", where)),
+            str(_require(obj, "source", where)),
+            _number(obj, "t0", where),
+            _number(obj, "d_o", where),
+            parse_temporal(obj, where),
+            resolve_name(cfg.sensors, str(_require(obj, "sensor", where)), "sensor", where),
+            resolve_mode(str(obj.get("mode", PROCESSED))),
         )
+        # The fields are read and checked above; the constructor adds only
+        # the range check on d_o.
+        try:
+            records.append(PerceptionRecord(*args))
+        except ValueError as exc:
+            raise ValueError(f"{where}: field 'd_o': {exc}") from None
     return records
 
 
@@ -302,15 +314,13 @@ def load_receivers(path: str, cfg: ConfigDocument) -> list[ReceiverView]:
     """Read receiver views, one JSON object per line: id, distance, scenario."""
     receivers = []
     for where, obj in _iter_jsonl(path):
-        receivers.append(
-            ReceiverView(
-                receiver_id=str(_require(obj, "id", where)),
-                distance=_number(obj, "distance", where),
-                scenario=resolve_name(
-                    cfg.scenarios, str(_require(obj, "scenario", where)), "scenario", where
-                ),
-            )
-        )
+        receiver_id = str(_require(obj, "id", where))
+        distance = _number(obj, "distance", where)
+        scenario = resolve_name(cfg.scenarios, str(_require(obj, "scenario", where)), "scenario", where)
+        try:
+            receivers.append(ReceiverView(receiver_id, distance, scenario))
+        except ValueError as exc:
+            raise ValueError(f"{where}: field 'distance': {exc}") from None
     return receivers
 
 

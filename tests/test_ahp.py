@@ -109,10 +109,20 @@ def test_matrix_validation_errors():
         ahp.ComparisonMatrix(("only",), np.ones((1, 1)))
 
 
+def test_entries_accept_any_nested_sequence_of_rows():
+    rows = [list(row) for row in SAFETY_ROWS]
+    for entries in (rows, SAFETY_ROWS, np.array(SAFETY_ROWS)):
+        assert ahp.ComparisonMatrix(LABELS, entries).entries == tuple(tuple(row) for row in rows)
+    with pytest.raises(ValueError, match=r"got shape \(2, 3\)"):
+        ahp.ComparisonMatrix(LABELS, rows[:2])
+    with pytest.raises(ValueError, match=r"got row lengths \[3, 2, 3\]"):
+        ahp.ComparisonMatrix(LABELS, [rows[0], rows[1][:2], rows[2]])
+
+
 def test_entries_are_frozen():
     matrix = matrix_from_rows(SAFETY_ROWS)
-    with pytest.raises(ValueError):
-        matrix.entries[0, 1] = 2.0
+    with pytest.raises(TypeError):
+        matrix.entries[0][1] = 2.0
 
 
 def test_permutation_invariance():
@@ -171,3 +181,9 @@ def test_random_saaty_matrix_properties(matrix):
     report = ahp.consistency(solution, matrix.n)
     assert report.consistency_index >= -1e-9
     assert report.acceptable == (report.consistency_ratio < 0.1)
+    # A positive matrix has one real eigenvalue of largest modulus (Perron).
+    values, vectors = np.linalg.eig(np.array(matrix.entries))
+    top = int(np.argmax(values.real))
+    vector = vectors[:, top].real
+    assert solution.lambda_max == pytest.approx(values[top].real, abs=1e-8)
+    assert solution.weights == pytest.approx(tuple(vector / vector.sum()), abs=1e-8)

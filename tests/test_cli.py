@@ -88,6 +88,25 @@ def test_weights_matrix_entries_must_be_finite_numbers(capsys, tmp_path, bad):
     assert f"{path}: the matrix must be a list of rows of finite numbers" in err
 
 
+def test_weights_matrix_must_be_square(capsys, tmp_path):
+    matrix = tmp_path / "m.json"
+    config = tmp_path / "cfg.json"
+    for rows, message in (
+        ([[1, 1, 1], [1, 1], [1, 1, 1]], "row 2 has 2 entries, expected 3"),
+        ([[1, 1], [1, 1], [1, 1]], "row 1 has 2 entries, expected 3"),
+    ):
+        matrix.write_text(json.dumps(rows))
+        config.write_text(json.dumps({"profiles": {"p": {"matrix": rows}}}))
+        for args, where in (
+            (("weights", "--matrix", str(matrix)), f"{matrix}: "),
+            (("assess", "--config", str(config), "--profile", "p", "--distance", "1"),
+             f"{config}: profile 'p': "),
+        ):
+            code, out, err = run_cli(capsys, *args)
+            assert code == 1 and out == ""
+            assert err == f"error: {where}{message}\n"
+
+
 def test_weights_unknown_profile(capsys):
     code, _, err = run_cli(capsys, "weights", "--profile", "nope")
     assert code == 1
@@ -145,6 +164,23 @@ def test_assess_input_errors(capsys):
     assert code == 1 and "unknown scenario" in err
     code, _, err = run_cli(capsys, "assess", "--profile", "safety", "--distance", "-5")
     assert code == 1 and "non-negative" in err
+
+
+def test_float_flags_must_be_finite(capsys, tmp_path):
+    rec, rcv = schedule_files(
+        tmp_path, [base_record("r", 10.0)], [{"id": "a", "distance": 100.0, "scenario": "urban"}],
+    )
+    assess = ["assess", "--profile", "safety", "--distance", "1"]
+    schedule = ["schedule", "--records", rec, "--receivers", rcv, "--profile", "safety",
+                "--threshold", "0.5"]
+    flags = [(assess, flag) for flag in ("--distance", "--aoi", "--ptd", "--obs-distance")]
+    flags += [(schedule, flag) for flag in ("--now", "--threshold")]
+    for base, flag in flags:
+        for bad in ("nan", "inf", "-inf", "1e999", "ten"):
+            code, out, err = run_cli(capsys, *base, f"{flag}={bad}")
+            assert code == 1 and out == ""
+            assert f"argument {flag}: must be a finite number, got '{bad}'" in err
+            assert "Traceback" not in err
 
 
 def test_sweep_preset_is_byte_deterministic(capsys, tmp_path):
@@ -372,6 +408,23 @@ def test_schedule_input_errors(capsys, tmp_path):
             assert code == 1 and out == ""
             assert f"{where}: field '{field}' must be a finite number, got {json.dumps(bad)}" in err
             assert "Traceback" not in err
+
+    for field, value, message in (
+        ("d_o", -1, "records.jsonl:2: field 'd_o': object distance must be non-negative, got -1.0"),
+        ("temporal", -1, "records.jsonl:2: field 'temporal': temporal decay must be non-negative"),
+        ("distance", -1,
+         "receivers.jsonl:1: field 'distance': receiver distance must be non-negative, got -1.0"),
+    ):
+        records = [base_record("ok", 10.0), base_record("r", 10.0)]
+        receivers = [{"id": "a", "distance": 100.0, "scenario": "urban"}]
+        (receivers[0] if field == "distance" else records[1])[field] = value
+        rec, rcv = schedule_files(tmp_path, records, receivers)
+        code, out, err = run_cli(
+            capsys, "schedule", "--records", rec, "--receivers", rcv,
+            "--profile", "safety", "--threshold", "0.5",
+        )
+        assert code == 1 and out == ""
+        assert message in err and "Traceback" not in err
 
 
 def test_schedule_rejects_a_nan_weight(capsys, tmp_path):

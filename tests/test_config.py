@@ -210,6 +210,23 @@ def test_load_records_error_reporting(tmp_path):
             assert str(info.value) == (
                 f"{path}:2: field '{field}' must be a finite number, got {json.dumps(bad)}"
             )
+    # In-range checks made by the constructors also name the line and the field.
+    record = {"id": "r1", "source": "v", "t0": 0, "d_o": 1, "temporal": 1, "sensor": "medium"}
+    for field, value, message in (
+        ("d_o", -1, "field 'd_o': object distance must be non-negative, got -1.0"),
+        ("temporal", -2.5, "field 'temporal': temporal decay must be non-negative, got -2.5"),
+    ):
+        path.write_text("\n" + json.dumps(dict(record, **{field: value})) + "\n")
+        with pytest.raises(ValueError) as info:
+            cfgmod.load_records(str(path), cfg)
+        assert str(info.value) == f"{path}:2: {message}"
+    receivers = tmp_path / "receivers.jsonl"
+    receivers.write_text('{"id": "a", "distance": -3, "scenario": "urban"}\n')
+    with pytest.raises(ValueError) as info:
+        cfgmod.load_receivers(str(receivers), cfg)
+    assert str(info.value) == (
+        f"{receivers}:1: field 'distance': receiver distance must be non-negative, got -3.0"
+    )
 
 
 def test_load_receivers(tmp_path):
