@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_assess.add_argument("--distance", type=_finite_float, required=True)
     p_assess.add_argument("--aoi", type=_finite_float, default=0.0)
     p_assess.add_argument("--ptd", type=_finite_float, default=1.0, help="temporal decay rate (1/s)")
-    p_assess.add_argument("--mode", choices=["processed", "nonprocessed"], default="processed")
+    p_assess.add_argument("--mode", choices=sorted(cfgmod.MODE_ALIASES), default="processed")
     p_assess.add_argument("--obs-distance", type=_finite_float, default=None)
     p_assess.set_defaults(func=cmd_assess)
 

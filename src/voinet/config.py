@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import asdict, dataclass, fields, replace
-from typing import Any, Mapping
+from dataclasses import dataclass, fields, replace
+from typing import Any, Callable, Mapping, TypeVar
 
 from . import ahp
 from .scheduler import PerceptionRecord, ReceiverView
@@ -41,6 +41,7 @@ MODE_ALIASES = {
 
 WEIGHT_SUM_TOL = 1e-6
 _FLOAT_MAX = sys.float_info.max
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -100,28 +101,6 @@ def load_config(path: str | None) -> ConfigDocument:
         return parse_config(data)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-
-
-def to_dict(cfg: ConfigDocument) -> dict[str, Any]:
-    """JSON-ready form; parse_config(to_dict(cfg)) resolves identically."""
-    doc: dict[str, Any] = {
-        "profiles": {
-            name: {"weights": dict(zip(ATTRIBUTES, p.weights))}
-            for name, p in cfg.profiles.items()
-        },
-        "scenarios": {
-            name: {"kind": s.kind, "v_max": s.v_max, "safety_distance": s.safety_distance}
-            for name, s in cfg.scenarios.items()
-        },
-        "sensors": {
-            name: {"height": s.height, "fov": s.fov, "resolution": s.resolution}
-            for name, s in cfg.sensors.items()
-        },
-        "defaults": {"logistic": asdict(cfg.logistic)},
-    }
-    if cfg.threshold is not None:
-        doc["defaults"]["threshold"] = cfg.threshold
-    return doc
 
 
 def _is_finite_number(value: Any) -> bool:
@@ -192,10 +171,7 @@ def parse_matrix(data: Any, where: str) -> ahp.ComparisonMatrix:
         labels = ATTRIBUTES if n == 3 else tuple(f"c{i + 1}" for i in range(n))
     elif not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
         raise ValueError(f"{where}: labels must be a list of strings")
-    try:
-        return ahp.ComparisonMatrix(tuple(labels), entries)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
+    return _located(where, None, ahp.ComparisonMatrix, tuple(labels), entries)
 
 
 def _parse_scenario(name: str, obj: Any) -> Scenario:
@@ -207,18 +183,20 @@ def _parse_scenario(name: str, obj: Any) -> Scenario:
         raise ValueError(f"{where} needs v_max and/or safety_distance")
     if "safety_distance" in obj:
         anchor = _number(obj, "safety_distance", where)
-        return Scenario(kind, _number(obj, "v_max", where, anchor / 2.0), anchor)
-    return Scenario.from_speed_limit(kind, _number(obj, "v_max", where))
+        v_max = _number(obj, "v_max", where, anchor / 2.0)
+        return _located(where, None, Scenario, kind, v_max, anchor)
+    return _located(where, None, Scenario.from_speed_limit, kind, _number(obj, "v_max", where))
 
 
 def _parse_sensor(name: str, obj: Any) -> SensorModel:
     if not isinstance(obj, Mapping):
         raise ValueError(f"sensor {name!r} must be an object")
     where = f"sensor {name!r}"
-    return SensorModel(
-        height=_number(obj, "height", where, 1.2),
-        fov=_number(obj, "fov", where, 70.0),
-        resolution=_number(obj, "resolution", where),
+    return _located(
+        where, None, SensorModel,
+        _number(obj, "height", where, 1.2),
+        _number(obj, "fov", where, 70.0),
+        _number(obj, "resolution", where),
     )
 
 
@@ -230,7 +208,9 @@ def _parse_logistic(obj: Mapping[str, Any]) -> LogisticParams:
     return replace(DEFAULT_LOGISTIC, **{k: _number(obj, k, "defaults.logistic") for k in obj})
 
 
-def resolve_mode(raw: str) -> str:
+def resolve_mode(raw: Any) -> str:
+    if not isinstance(raw, str):
+        raise ValueError(f"mode must be a JSON string, got {json.dumps(raw)}")
     try:
         return MODE_ALIASES[raw]
     except KeyError:
@@ -244,6 +224,15 @@ def resolve_name(table: Mapping[str, Any], name: str, kind: str, where: str) -> 
         return table[name]
     except KeyError:
         raise ValueError(f"{where}: unknown {kind} {name!r}; known: {sorted(table)}") from None
+
+
+def _located(where: str, field: str | None, build: Callable[..., _T], *args: Any) -> _T:
+    """build(*args), naming where, and the field if given, in its ValueError."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        at = where if field is None else f"{where}: field {field!r}"
+        raise ValueError(f"{at}: {exc}") from None
 
 
 def _require(obj: Mapping[str, Any], key: str, where: str) -> Any:
@@ -277,11 +266,7 @@ def parse_temporal(obj: Mapping[str, Any], where: str):
         raise ValueError(
             f"{where}: unknown temporal class {raw!r}; known: {sorted(TEMPORAL_CLASSES)}"
         )
-    decay = _number(obj, "temporal", where)
-    try:
-        return temporal_from_decay(decay)
-    except ValueError as exc:
-        raise ValueError(f"{where}: field 'temporal': {exc}") from None
+    return _located(where, "temporal", temporal_from_decay, _number(obj, "temporal", where))
 
 
 def load_records(path: str, cfg: ConfigDocument) -> list[PerceptionRecord]:
@@ -299,7 +284,7 @@ def load_records(path: str, cfg: ConfigDocument) -> list[PerceptionRecord]:
             _number(obj, "d_o", where),
             parse_temporal(obj, where),
             resolve_name(cfg.sensors, str(_require(obj, "sensor", where)), "sensor", where),
-            resolve_mode(str(obj.get("mode", PROCESSED))),
+            _located(where, "mode", resolve_mode, obj.get("mode", PROCESSED)),
         )
         # The fields are read and checked above; the constructor adds only
         # the range check on d_o.
@@ -317,10 +302,7 @@ def load_receivers(path: str, cfg: ConfigDocument) -> list[ReceiverView]:
         receiver_id = str(_require(obj, "id", where))
         distance = _number(obj, "distance", where)
         scenario = resolve_name(cfg.scenarios, str(_require(obj, "scenario", where)), "scenario", where)
-        try:
-            receivers.append(ReceiverView(receiver_id, distance, scenario))
-        except ValueError as exc:
-            raise ValueError(f"{where}: field 'distance': {exc}") from None
+        receivers.append(_located(where, "distance", ReceiverView, receiver_id, distance, scenario))
     return receivers
 
 
@@ -334,7 +316,7 @@ def _parse_series(obj: Any, cfg: ConfigDocument, where: str) -> SweepSeries:
     if "temporal" in obj:
         kwargs["temporal"] = parse_temporal(obj, where)
     if "mode" in obj:
-        kwargs["mode"] = resolve_mode(str(obj["mode"]))
+        kwargs["mode"] = _located(where, "mode", resolve_mode, obj["mode"])
     if "attribute" in obj:
         kwargs["attribute"] = str(obj["attribute"])
     for key in ("aoi", "distance", "obs_distance"):

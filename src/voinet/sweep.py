@@ -247,136 +247,78 @@ def run_sweep(spec: SweepSpec, params: LogisticParams = DEFAULT_LOGISTIC) -> Cur
     return CurveSet(spec=spec, xs=xs, curves=curves)
 
 
-def _distance_grid(**kwargs) -> dict:
-    return dict(variable="distance", start=0.0, stop=500.0, step=10.0, **kwargs)
+# Preset rows. A _conditional row is (label suffix, series fields) and
+# gives one series. An _overall row is (variant, scenario, temporal,
+# sensor, mode, aoi) and gives a safety series, then a traffic series.
+_DISTANCE_GRID = dict(variable="distance", start=0.0, stop=500.0, step=10.0)
+_OBS_NOTES = ("the sweep variable is the observation distance",)
+_MEDIUM, _SLOW = SENSORS["medium"], TemporalClass("slow", 0.5)
 
 
-def _overall_series(
-    figure: str,
-    variant: str,
-    profile: ApplicationProfile,
-    scenario: Scenario,
-    temporal: TemporalClass,
-    sensor: SensorModel,
-    mode: str,
-    aoi: float,
-) -> SweepSeries:
-    label = f"{figure}:{scenario.kind}:{profile.name}:{variant}"
-    return SweepSeries(
-        label=label,
-        profile=profile,
-        scenario=scenario,
-        temporal=temporal,
-        sensor=sensor,
-        mode=mode,
-        aoi=aoi,
+def _conditional(
+    name: str, attribute: str, rows: tuple, grid: dict, notes: tuple[str, ...]
+) -> SweepSpec:
+    series = tuple(
+        SweepSeries(f"{name}:{suffix}", attribute=attribute, **fields) for suffix, fields in rows
     )
+    return SweepSpec(name=name, series=series, notes=notes, **grid)
 
 
-def _preset_fig2a() -> SweepSpec:
+def _overall(name: str, rows: tuple, notes: tuple[str, ...]) -> SweepSpec:
     series = tuple(
         SweepSeries(
-            label=f"fig2a:{sc.kind}:-:proximity", scenario=sc, attribute="proximity"
+            f"{name}:{scenario.kind}:{profile.name}:{variant}",
+            profile, scenario, temporal, sensor, mode, aoi=aoi,
         )
-        for sc in (URBAN, HIGHWAY)
-    )
-    return SweepSpec(name="fig2a", series=series, **_distance_grid())
-
-
-def _preset_fig2b() -> SweepSpec:
-    series = tuple(
-        SweepSeries(
-            label=f"fig2b:-:-:{t.name}", temporal=t, attribute="timeliness"
-        )
-        for t in (STATIC, VARIABLE, DYNAMIC)
-    )
-    return SweepSpec(name="fig2b", variable="aoi", start=0.0, stop=5.0, step=0.1, series=series)
-
-
-def _preset_fig2c() -> SweepSpec:
-    series = tuple(
-        SweepSeries(
-            label=f"fig2c:-:-:{name}", sensor=SENSORS[name], attribute="quality"
-        )
-        for name in ("low", "medium", "high")
-    )
-    notes = ("the sweep variable is the observation distance",)
-    return SweepSpec(name="fig2c", series=series, notes=notes, **_distance_grid())
-
-
-def _preset_fig2d() -> SweepSpec:
-    series = tuple(
-        SweepSeries(
-            label=f"fig2d:{sc.kind}:-:non_processed",
-            scenario=sc,
-            sensor=SENSORS["medium"],
-            mode=NON_PROCESSED,
-            attribute="quality",
-        )
-        for sc in (URBAN, HIGHWAY)
-    )
-    notes = ("the sweep variable is the observation distance",)
-    return SweepSpec(name="fig2d", series=series, notes=notes, **_distance_grid())
-
-
-def _preset_fig3(name: str, mode: str) -> SweepSpec:
-    variant = "processed" if mode == PROCESSED else "non_processed"
-    series = tuple(
-        _overall_series(name, variant, profile, scenario, VARIABLE, SENSORS["medium"], mode, 0.1)
-        for scenario in (URBAN, HIGHWAY)
+        for variant, scenario, temporal, sensor, mode, aoi in rows
         for profile in (SAFETY, TRAFFIC)
     )
-    return SweepSpec(
-        name=name, series=series, obs_grid=10.0, notes=(RESOLUTION_NOTE,), **_distance_grid()
-    )
-
-
-def _preset_fig4() -> SweepSpec:
-    series = tuple(
-        _overall_series("fig4", t.name, profile, URBAN, t, SENSORS["medium"], PROCESSED, 0.1)
-        for t in (STATIC, DYNAMIC)
-        for profile in (SAFETY, TRAFFIC)
-    )
-    return SweepSpec(
-        name="fig4", series=series, obs_grid=10.0, notes=(RESOLUTION_NOTE,), **_distance_grid()
-    )
-
-
-def _preset_fig5(name: str, temporal: TemporalClass, extra_notes: tuple[str, ...]) -> SweepSpec:
-    series = tuple(
-        _overall_series(name, f"aoi{aoi}", profile, URBAN, temporal, SENSORS["medium"], PROCESSED, aoi)
-        for aoi in (0.1, 1.0)
-        for profile in (SAFETY, TRAFFIC)
-    )
-    return SweepSpec(
-        name=name,
-        series=series,
-        obs_grid=10.0,
-        notes=(RESOLUTION_NOTE,) + extra_notes,
-        **_distance_grid(),
-    )
-
-
-def _preset_fig6() -> SweepSpec:
-    series = tuple(
-        _overall_series("fig6", quality, profile, URBAN, VARIABLE, SENSORS[quality], PROCESSED, 0.1)
-        for quality in ("high", "low")
-        for profile in (SAFETY, TRAFFIC)
-    )
-    return SweepSpec(name="fig6", series=series, obs_grid=10.0, **_distance_grid())
+    return SweepSpec(name=name, series=series, obs_grid=10.0, notes=notes, **_DISTANCE_GRID)
 
 
 _PRESETS = {
-    "fig2a": _preset_fig2a,
-    "fig2b": _preset_fig2b,
-    "fig2c": _preset_fig2c,
-    "fig2d": _preset_fig2d,
-    "fig3a": lambda: _preset_fig3("fig3a", PROCESSED),
-    "fig3b": lambda: _preset_fig3("fig3b", NON_PROCESSED),
-    "fig4": _preset_fig4,
-    "fig5a": lambda: _preset_fig5("fig5a", TemporalClass("slow", 0.5), (FIG5A_NOTE,)),
-    "fig5b": lambda: _preset_fig5("fig5b", DYNAMIC, ()),
-    "fig6": _preset_fig6,
+    "fig2a": (_conditional, "proximity", (
+        ("urban:-:proximity", {"scenario": URBAN}),
+        ("highway:-:proximity", {"scenario": HIGHWAY}),
+    ), _DISTANCE_GRID, ()),
+    "fig2b": (_conditional, "timeliness", (
+        ("-:-:static", {"temporal": STATIC}),
+        ("-:-:variable", {"temporal": VARIABLE}),
+        ("-:-:dynamic", {"temporal": DYNAMIC}),
+    ), dict(variable="aoi", start=0.0, stop=5.0, step=0.1), ()),
+    "fig2c": (_conditional, "quality", (
+        ("-:-:low", {"sensor": SENSORS["low"]}),
+        ("-:-:medium", {"sensor": _MEDIUM}),
+        ("-:-:high", {"sensor": SENSORS["high"]}),
+    ), _DISTANCE_GRID, _OBS_NOTES),
+    "fig2d": (_conditional, "quality", (
+        ("urban:-:non_processed", {"scenario": URBAN, "sensor": _MEDIUM, "mode": NON_PROCESSED}),
+        ("highway:-:non_processed", {"scenario": HIGHWAY, "sensor": _MEDIUM, "mode": NON_PROCESSED}),
+    ), _DISTANCE_GRID, _OBS_NOTES),
+    "fig3a": (_overall, (
+        (PROCESSED, URBAN, VARIABLE, _MEDIUM, PROCESSED, 0.1),
+        (PROCESSED, HIGHWAY, VARIABLE, _MEDIUM, PROCESSED, 0.1),
+    ), (RESOLUTION_NOTE,)),
+    "fig3b": (_overall, (
+        (NON_PROCESSED, URBAN, VARIABLE, _MEDIUM, NON_PROCESSED, 0.1),
+        (NON_PROCESSED, HIGHWAY, VARIABLE, _MEDIUM, NON_PROCESSED, 0.1),
+    ), (RESOLUTION_NOTE,)),
+    "fig4": (_overall, (
+        ("static", URBAN, STATIC, _MEDIUM, PROCESSED, 0.1),
+        ("dynamic", URBAN, DYNAMIC, _MEDIUM, PROCESSED, 0.1),
+    ), (RESOLUTION_NOTE,)),
+    "fig5a": (_overall, (
+        ("aoi0.1", URBAN, _SLOW, _MEDIUM, PROCESSED, 0.1),
+        ("aoi1.0", URBAN, _SLOW, _MEDIUM, PROCESSED, 1.0),
+    ), (RESOLUTION_NOTE, FIG5A_NOTE)),
+    "fig5b": (_overall, (
+        ("aoi0.1", URBAN, DYNAMIC, _MEDIUM, PROCESSED, 0.1),
+        ("aoi1.0", URBAN, DYNAMIC, _MEDIUM, PROCESSED, 1.0),
+    ), (RESOLUTION_NOTE,)),
+    "fig6": (_overall, (
+        ("high", URBAN, VARIABLE, SENSORS["high"], PROCESSED, 0.1),
+        ("low", URBAN, VARIABLE, SENSORS["low"], PROCESSED, 0.1),
+    ), ()),
 }
 
 
@@ -387,9 +329,9 @@ def preset_names() -> tuple[str, ...]:
 def figure_preset(name: str) -> SweepSpec:
     """The exact sweep behind one of the shipped reference figures."""
     try:
-        builder = _PRESETS[name]
+        builder, *args = _PRESETS[name]
     except KeyError:
         raise ValueError(
             f"unknown preset {name!r}; valid presets: {', '.join(_PRESETS)}"
         ) from None
-    return builder()
+    return builder(name, *args)

@@ -145,6 +145,12 @@ def test_assess_dynamic_point_and_sampled_variant(capsys):
     )
     assert code == 0
     assert parse_kv_line(out.strip())["overall"] == pytest.approx(0.585198, abs=1e-6)
+    # Every mode spelling that records and sweep specs accept.
+    outs = [
+        run_cli(capsys, "assess", "--profile", "traffic", "--distance", "10", "--mode", mode)
+        for mode in ("nonprocessed", "non_processed")
+    ]
+    assert outs[0] == outs[1] and outs[0][0] == 0
 
 
 def test_assess_all_maxima(capsys):
@@ -259,6 +265,10 @@ def test_sweep_spec_missing_key(capsys, tmp_path):
         (dict(good, series=[5]), "series[0]: a series must be a JSON object"),
         (dict(good, series=5), "fields 'series' and 'notes' must be JSON lists"),
         (dict(good, stop=1e9, step=1e-3), "the sweep grid would have 1000000000001 points"),
+        (dict(good, series=[dict(good["series"][0], mode="raw")]),
+         "series[0]: field 'mode': unknown mode 'raw'"),
+        (dict(good, series=[dict(good["series"][0], mode=7)]),
+         "series[0]: field 'mode': mode must be a JSON string, got 7"),
     ):
         path.write_text(json.dumps(spec))
         code, _, err = run_cli(capsys, "sweep", "--spec", str(path), "--out", out_path)
@@ -412,6 +422,8 @@ def test_schedule_input_errors(capsys, tmp_path):
     for field, value, message in (
         ("d_o", -1, "records.jsonl:2: field 'd_o': object distance must be non-negative, got -1.0"),
         ("temporal", -1, "records.jsonl:2: field 'temporal': temporal decay must be non-negative"),
+        ("mode", "raw", "records.jsonl:2: field 'mode': unknown mode 'raw'"),
+        ("mode", 7, "records.jsonl:2: field 'mode': mode must be a JSON string, got 7"),
         ("distance", -1,
          "receivers.jsonl:1: field 'distance': receiver distance must be non-negative, got -1.0"),
     ):

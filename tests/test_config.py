@@ -110,32 +110,6 @@ def test_builtin_names_can_be_overridden():
     assert cfg.scenarios["urban"].safety_distance == 28.0
 
 
-def test_round_trip_preserves_assessments_bitwise(tmp_path):
-    original = cfgmod.parse_config(
-        {
-            "profiles": {"p": {"weights": {"timeliness": 0.25, "proximity": 0.5, "quality": 0.25}}},
-            "scenarios": {"campus": {"kind": "urban", "v_max": 7.0}},
-            "sensors": {"wide": {"resolution": 1920, "fov": 90.0}},
-            "defaults": {"logistic": {"decay": 0.045}, "threshold": 0.3},
-        }
-    )
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfgmod.to_dict(original)))
-    reread = cfgmod.load_config(str(path))
-    assert reread.threshold == original.threshold
-    for name in original.profiles:
-        assert reread.profiles[name] == original.profiles[name]
-    for scenarios in (original.scenarios, reread.scenarios):
-        assert scenarios["campus"].safety_distance == 14.0
-    ctx = lambda cfg: voi.AssessmentContext(
-        distance=123.0, aoi=0.37, scenario=cfg.scenarios["campus"],
-        temporal=voi.DYNAMIC, sensor=cfg.sensors["wide"], mode=voi.NON_PROCESSED,
-    )
-    before = voi.overall_voi(ctx(original), original.profiles["p"], original.logistic)
-    after = voi.overall_voi(ctx(reread), reread.profiles["p"], reread.logistic)
-    assert before == after
-
-
 def test_load_config_rejects_bad_documents(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -161,6 +135,22 @@ def test_load_config_rejects_bad_documents(tmp_path):
             with pytest.raises(ValueError) as info:
                 cfgmod.load_config(str(path))
             assert str(info.value).startswith(f"{path}: {message}")
+    # In-range checks made by the constructors also name the entry.
+    for doc, message in (
+        ({"sensors": {"x": {"resolution": -1}}}, "sensor 'x': resolution must be positive, got -1.0"),
+        ({"sensors": {"x": {"resolution": 1280, "height": 0}}},
+         "sensor 'x': sensor height must be positive, got 0.0"),
+        ({"scenarios": {"s": {"kind": "urban", "v_max": -1}}},
+         "scenario 's': speed limit must be positive, got -1.0"),
+        ({"scenarios": {"s": {"kind": "urban", "v_max": 10, "safety_distance": -4}}},
+         "scenario 's': safety distance must be positive, got -4.0"),
+        ({"scenarios": {"s": {"kind": "sea", "v_max": 10}}},
+         "scenario 's': no built-in line-of-sight model for scenario kind 'sea'"),
+    ):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as info:
+            cfgmod.load_config(str(path))
+        assert str(info.value).startswith(f"{path}: {message}")
 
 
 def write_lines(path, objs):
@@ -215,6 +205,10 @@ def test_load_records_error_reporting(tmp_path):
     for field, value, message in (
         ("d_o", -1, "field 'd_o': object distance must be non-negative, got -1.0"),
         ("temporal", -2.5, "field 'temporal': temporal decay must be non-negative, got -2.5"),
+        ("mode", "raw", "field 'mode': unknown mode 'raw'; expected one of "
+                        "['non_processed', 'nonprocessed', 'processed']"),
+        ("mode", 7, "field 'mode': mode must be a JSON string, got 7"),
+        ("mode", None, "field 'mode': mode must be a JSON string, got null"),
     ):
         path.write_text("\n" + json.dumps(dict(record, **{field: value})) + "\n")
         with pytest.raises(ValueError) as info:

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from voinet import sweep, voi
-from conftest import load_curves
+from conftest import DATA_DIR, load_curves
 
 GOLDEN_FIGURES = ("fig3a", "fig3b", "fig4", "fig5a", "fig5b", "fig6")
 
@@ -100,6 +100,19 @@ def test_csv_output_format_and_determinism():
     assert rows[-1].split(",")[0] == "500"
     for cell in rows[3].split(",")[1:]:
         assert float(cell) and len(cell.replace(".", "").lstrip("0")) <= 7
+
+
+def test_preset_csv_headers_are_frozen():
+    # Every comment line and the column line of each preset's CSV: labels,
+    # series descriptions, obs-grid and notes.
+    frozen = (DATA_DIR / "preset_headers.txt").read_text().splitlines()
+    mine = [
+        line
+        for name in sweep.preset_names()
+        for line in sweep.run_sweep(sweep.figure_preset(name)).to_csv().splitlines()
+        if line.startswith(("#", "x,"))
+    ]
+    assert mine == frozen
 
 
 def test_degenerate_grid_is_a_single_row():
