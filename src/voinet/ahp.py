@@ -17,6 +17,10 @@ SAATY_MAX = 9.0
 
 RECIPROCITY_TOL = 1e-12
 
+# Power iteration: relative residual tolerance and iteration cap.
+EIGEN_TOL = 1e-10
+MAX_ITER = 10_000
+
 # Random consistency index per matrix size. Values for n >= 4 are the
 # standard published table; sizes without an entry are rejected.
 RANDOM_INDEX: dict[int, float] = {
@@ -153,52 +157,28 @@ def build_matrix(
     return ComparisonMatrix(labels, entries)
 
 
-def principal_eigenvector(
-    m: ComparisonMatrix,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-    start: Sequence[float] | None = None,
-) -> EigenSolution:
+def principal_eigenvector(m: ComparisonMatrix) -> EigenSolution:
     """Dominant eigenpair of a comparison matrix by power iteration.
 
-    The iterate is renormalized to unit sum each step and the eigenvalue
-    is estimated with the Rayleigh quotient. Iteration stops when
-    ``max|M w - lambda w| <= tol * lambda``.
-
-    Args:
-        m: a valid comparison matrix.
-        tol: relative residual tolerance, > 0.
-        max_iter: iteration cap.
-        start: optional initial guess, any positive vector; defaults to
-            the uniform vector. Scaling the guess does not change the
-            result.
+    The iterate starts uniform, is renormalized to unit sum each step, and
+    the eigenvalue is estimated with the Rayleigh quotient. Iteration stops
+    when ``max|M w - lambda w| <= EIGEN_TOL * lambda``.
 
     Raises:
-        RuntimeError: if the residual does not reach tol within max_iter.
+        RuntimeError: if the residual does not reach EIGEN_TOL within MAX_ITER steps.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     n = m.n
-    if start is None:
-        w = [1.0 / n] * n
-    else:
-        w = [float(x) for x in start]
-        if len(w) != n or any(x <= 0 for x in w):
-            raise ValueError(f"start vector must be {n} positive entries")
-        total = sum(w)
-        w = [x / total for x in w]
+    w = [1.0 / n] * n
     residual = math.inf
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         y = [_dot(row, w) for row in m.entries]
         lam = _dot(w, y) / _dot(w, w)
         residual = max(abs(yi - lam * wi) for yi, wi in zip(y, w))
-        if residual <= tol * lam:
+        if residual <= EIGEN_TOL * lam:
             return EigenSolution(lambda_max=lam, weights=tuple(w))
         total = sum(y)
         w = [yi / total for yi in y]
-    raise RuntimeError(
-        f"power iteration did not converge in {max_iter} iterations (residual {residual:.3e})"
-    )
+    raise RuntimeError(f"power iteration did not converge in {MAX_ITER} iterations (residual {residual:.3e})")
 
 
 def _dot(u: Sequence[float], v: Sequence[float]) -> float:

@@ -96,7 +96,7 @@ def cmd_weights(args: argparse.Namespace) -> int:
             ) from None
         source = args.profile
     else:
-        matrix = cfgmod.parse_matrix(cfgmod.read_json(args.matrix), args.matrix)
+        matrix = cfgmod.load_matrix(args.matrix)
         source = args.matrix
 
     solution = ahp.principal_eigenvector(matrix)
@@ -117,13 +117,13 @@ def cmd_assess(args: argparse.Namespace) -> int:
     ctx = AssessmentContext(
         distance=args.distance,
         aoi=args.aoi,
-        scenario=cfgmod.resolve_name(cfg.scenarios, args.scenario, "scenario", "assess"),
+        scenario=cfgmod.resolve_name(cfg.scenarios, args.scenario, "scenario"),
         temporal=temporal_from_decay(args.ptd),
-        sensor=cfgmod.resolve_name(cfg.sensors, args.sensor, "sensor", "assess"),
+        sensor=cfgmod.resolve_name(cfg.sensors, args.sensor, "sensor"),
         mode=cfgmod.resolve_mode(args.mode),
         obs_distance=args.obs_distance,
     )
-    profile = cfgmod.resolve_name(cfg.profiles, args.profile, "profile", "assess")
+    profile = cfgmod.resolve_name(cfg.profiles, args.profile, "profile")
     scores = attribute_scores(ctx, cfg.logistic)
     overall = profile.overall(scores.timeliness, scores.proximity, scores.quality)
     print(
@@ -159,7 +159,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     else:
         now = max((r.generated_at for r in records), default=0.0)
     sched_cfg = SchedulerConfig(
-        profile=cfgmod.resolve_name(cfg.profiles, args.profile, "profile", "schedule"),
+        profile=cfgmod.resolve_name(cfg.profiles, args.profile, "profile"),
         threshold=threshold,
         now=now,
         params=cfg.logistic,

@@ -106,10 +106,11 @@ class Scenario:
                 f"no built-in line-of-sight model for scenario kind {self.kind!r}; "
                 f"pass los_model or use one of {sorted(_BUILTIN_LOS)}"
             )
-        if self.v_max <= 0:
-            raise ValueError(f"speed limit must be positive, got {self.v_max}")
+        # safety_distance first: a config that gives only it derives v_max from it.
         if self.safety_distance <= 0:
             raise ValueError(f"safety distance must be positive, got {self.safety_distance}")
+        if self.v_max <= 0:
+            raise ValueError(f"speed limit must be positive, got {self.v_max}")
 
     @classmethod
     def from_speed_limit(

@@ -137,18 +137,10 @@ def test_permutation_invariance():
         assert by_label[label] == pytest.approx(weight, abs=1e-10)
 
 
-def test_start_vector_does_not_change_the_solution():
-    matrix = matrix_from_rows(SAFETY_ROWS)
-    base = ahp.principal_eigenvector(matrix)
-    skewed = ahp.principal_eigenvector(matrix, start=np.array([0.9, 0.05, 0.05]))
-    assert skewed.weights == pytest.approx(base.weights, abs=1e-9)
-    with pytest.raises(ValueError, match="positive"):
-        ahp.principal_eigenvector(matrix, start=np.array([1.0, 0.0, -1.0]))
-
-
-def test_non_convergence_raises():
-    with pytest.raises(RuntimeError, match="did not converge"):
-        ahp.principal_eigenvector(matrix_from_rows(TRAFFIC_ROWS), max_iter=1)
+def test_non_convergence_raises(monkeypatch):
+    monkeypatch.setattr(ahp, "MAX_ITER", 1)
+    with pytest.raises(RuntimeError, match="did not converge in 1 iterations"):
+        ahp.principal_eigenvector(matrix_from_rows(TRAFFIC_ROWS))
 
 
 def test_consistency_rejects_unsupported_sizes():

@@ -269,6 +269,16 @@ def test_sweep_spec_missing_key(capsys, tmp_path):
          "series[0]: field 'mode': unknown mode 'raw'"),
         (dict(good, series=[dict(good["series"][0], mode=7)]),
          "series[0]: field 'mode': mode must be a JSON string, got 7"),
+        # Text fields must be JSON strings, not coerced with str().
+        (dict(good, variable=7), "field 'variable' must be a JSON string, got 7"),
+        (dict(good, name=None), "field 'name' must be a JSON string, got null"),
+        (dict(good, notes=["ok", 5]), "field 'notes' must hold JSON strings, got [\"ok\", 5]"),
+        *(
+            (dict(good, series=[dict(good["series"][0], **{key: value})]),
+             f"series[0]: field '{key}' must be a JSON string, got {json.dumps(value)}")
+            for key, value in (("label", None), ("attribute", 7), ("profile", None),
+                               ("scenario", 1), ("sensor", None))
+        ),
     ):
         path.write_text(json.dumps(spec))
         code, _, err = run_cli(capsys, "sweep", "--spec", str(path), "--out", out_path)
@@ -426,10 +436,15 @@ def test_schedule_input_errors(capsys, tmp_path):
         ("mode", 7, "records.jsonl:2: field 'mode': mode must be a JSON string, got 7"),
         ("distance", -1,
          "receivers.jsonl:1: field 'distance': receiver distance must be non-negative, got -1.0"),
+        ("id", None, "records.jsonl:2: field 'id' must be a JSON string, got null"),
+        ("source", 5, "records.jsonl:2: field 'source' must be a JSON string, got 5"),
+        ("sensor", None, "records.jsonl:2: field 'sensor' must be a JSON string, got null"),
+        ("id", 5, "receivers.jsonl:1: field 'id' must be a JSON string, got 5"),
+        ("scenario", None, "receivers.jsonl:1: field 'scenario' must be a JSON string, got null"),
     ):
         records = [base_record("ok", 10.0), base_record("r", 10.0)]
         receivers = [{"id": "a", "distance": 100.0, "scenario": "urban"}]
-        (receivers[0] if field == "distance" else records[1])[field] = value
+        (receivers[0] if message.startswith("receivers") else records[1])[field] = value
         rec, rcv = schedule_files(tmp_path, records, receivers)
         code, out, err = run_cli(
             capsys, "schedule", "--records", rec, "--receivers", rcv,

@@ -146,6 +146,11 @@ def test_load_config_rejects_bad_documents(tmp_path):
          "scenario 's': safety distance must be positive, got -4.0"),
         ({"scenarios": {"s": {"kind": "sea", "v_max": 10}}},
          "scenario 's': no built-in line-of-sight model for scenario kind 'sea'"),
+        # Only safety_distance given: the message names it, not the v_max derived from it.
+        ({"scenarios": {"s": {"kind": "urban", "safety_distance": -4}}},
+         "scenario 's': safety distance must be positive, got -4.0"),
+        ({"scenarios": {"s": {"kind": None, "v_max": 10}}},
+         "scenario 's': field 'kind' must be a JSON string, got null"),
     ):
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError) as info:
@@ -209,18 +214,26 @@ def test_load_records_error_reporting(tmp_path):
                         "['non_processed', 'nonprocessed', 'processed']"),
         ("mode", 7, "field 'mode': mode must be a JSON string, got 7"),
         ("mode", None, "field 'mode': mode must be a JSON string, got null"),
+        # Text fields must be JSON strings, not coerced with str().
+        ("id", None, "field 'id' must be a JSON string, got null"),
+        ("id", 5, "field 'id' must be a JSON string, got 5"),
+        ("source", None, "field 'source' must be a JSON string, got null"),
+        ("sensor", 3, "field 'sensor' must be a JSON string, got 3"),
     ):
         path.write_text("\n" + json.dumps(dict(record, **{field: value})) + "\n")
         with pytest.raises(ValueError) as info:
             cfgmod.load_records(str(path), cfg)
         assert str(info.value) == f"{path}:2: {message}"
     receivers = tmp_path / "receivers.jsonl"
-    receivers.write_text('{"id": "a", "distance": -3, "scenario": "urban"}\n')
-    with pytest.raises(ValueError) as info:
-        cfgmod.load_receivers(str(receivers), cfg)
-    assert str(info.value) == (
-        f"{receivers}:1: field 'distance': receiver distance must be non-negative, got -3.0"
-    )
+    for field, value, message in (
+        ("distance", -3, "field 'distance': receiver distance must be non-negative, got -3.0"),
+        ("id", None, "field 'id' must be a JSON string, got null"),
+        ("scenario", 1, "field 'scenario' must be a JSON string, got 1"),
+    ):
+        receivers.write_text(json.dumps({"id": "a", "distance": 1, "scenario": "urban", field: value}) + "\n")
+        with pytest.raises(ValueError) as info:
+            cfgmod.load_receivers(str(receivers), cfg)
+        assert str(info.value) == f"{receivers}:1: {message}"
 
 
 def test_load_receivers(tmp_path):

@@ -115,6 +115,41 @@ def test_preset_csv_headers_are_frozen():
     assert mine == frozen
 
 
+def test_custom_overall_sweeps_match_the_scalar_score():
+    # Three ways a custom overall sweep picks its context: the observation
+    # distance derived as distance / 2 (no obs_grid), a fixed series
+    # obs_distance, and an aoi sweep at a fixed distance.
+    fixed = dict(scenario=voi.URBAN, temporal=voi.VARIABLE, sensor=voi.SENSORS["medium"])
+    distance_spec = sweep.SweepSpec(
+        variable="distance", start=0.0, stop=200.0, step=20.0,
+        series=(
+            sweep.SweepSeries(label="half", profile=voi.SAFETY, aoi=0.1, **fixed),
+            sweep.SweepSeries(label="pinned", profile=voi.SAFETY, aoi=0.1, obs_distance=30.0, **fixed),
+        ),
+    )
+    aoi_spec = sweep.SweepSpec(
+        variable="aoi", start=0.0, stop=2.0, step=0.25,
+        series=(sweep.SweepSeries(label="at80", profile=voi.SAFETY, distance=80.0, **fixed),),
+    )
+    # label -> the (distance, aoi, obs_distance) that grid point x stands for
+    contexts = {
+        "half": lambda x: (x, 0.1, x / 2.0),
+        "pinned": lambda x: (x, 0.1, 30.0),
+        "at80": lambda x: (80.0, x, 40.0),
+    }
+    for spec in (distance_spec, aoi_spec):
+        curves = sweep.run_sweep(spec)
+        for series in spec.series:
+            for x, value in zip(curves.xs, curves.values(series.label)):
+                distance, aoi, obs = contexts[series.label](x)
+                ctx = voi.AssessmentContext(distance=distance, aoi=aoi, obs_distance=obs, **fixed)
+                assert value == voi.overall_voi(ctx, voi.SAFETY), (series.label, x)
+    half, pinned = (sweep.run_sweep(distance_spec).values(label) for label in ("half", "pinned"))
+    assert half != pinned
+    assert "mode=processed aoi=0.1 obs_distance=30\n" in sweep.run_sweep(distance_spec).to_csv()
+    assert "mode=processed distance=80\n" in sweep.run_sweep(aoi_spec).to_csv()
+
+
 def test_degenerate_grid_is_a_single_row():
     spec = dataclasses.replace(sweep.figure_preset("fig3a"), start=100.0, stop=100.0)
     curves = sweep.run_sweep(spec)
