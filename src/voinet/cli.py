@@ -38,6 +38,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _non_negative(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="voinet", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -53,11 +60,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_assess.add_argument("--profile", required=True)
     p_assess.add_argument("--scenario", default="urban")
     p_assess.add_argument("--sensor", default="medium")
-    p_assess.add_argument("--distance", type=_finite_float, required=True)
-    p_assess.add_argument("--aoi", type=_finite_float, default=0.0)
-    p_assess.add_argument("--ptd", type=_finite_float, default=1.0, help="temporal decay rate (1/s)")
+    p_assess.add_argument("--distance", type=_non_negative, required=True)
+    p_assess.add_argument("--aoi", type=_non_negative, default=0.0)
+    p_assess.add_argument("--ptd", type=_non_negative, default=1.0, help="temporal decay rate (1/s)")
     p_assess.add_argument("--mode", choices=sorted(cfgmod.MODE_ALIASES), default="processed")
-    p_assess.add_argument("--obs-distance", type=_finite_float, default=None)
+    p_assess.add_argument("--obs-distance", type=_non_negative, default=None)
     p_assess.set_defaults(func=cmd_assess)
 
     p_sweep = sub.add_parser("sweep", help="evaluate a sweep and write CSV")

@@ -11,8 +11,10 @@ holds the file, line, entry or series says where, through _at.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from typing import Any, Callable, Mapping, TypeVar
 
 from . import ahp
@@ -131,18 +133,21 @@ def _require(obj: Mapping[str, Any], key: str, default: Any = None) -> Any:
 
 def _number(obj: Mapping[str, Any], key: str, default: float | None = None) -> float:
     """obj[key] as a finite float."""
+    value = obj.get(key, default)
+    # _is_finite_number's test, inlined because loaders call this per line.
+    if type(value) in (int, float) and -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        return float(value)
     value = _require(obj, key, default)
-    if not _is_finite_number(value):
-        raise ValueError(f"field {key!r} must be a finite number, got {json.dumps(value)}")
-    return float(value)
+    raise ValueError(f"field {key!r} must be a finite number, got {json.dumps(value)}")
 
 
 def _string(obj: Mapping[str, Any], key: str, default: str | None = None) -> str:
     """obj[key], which must be a JSON string."""
+    value = obj.get(key, default)
+    if type(value) is str:
+        return value
     value = _require(obj, key, default)
-    if type(value) is not str:
-        raise ValueError(f"field {key!r} must be a JSON string, got {json.dumps(value)}")
-    return value
+    raise ValueError(f"field {key!r} must be a JSON string, got {json.dumps(value)}")
 
 
 def _section(data: Mapping[str, Any], key: str) -> Mapping[str, Any]:
@@ -247,36 +252,56 @@ def parse_temporal(obj: Mapping[str, Any]):
     return _at("field 'temporal'", temporal_from_decay, _number(obj, "temporal"))
 
 
-def _read_jsonl(path: str, parse: Callable[[dict, Any], _T], cfg: ConfigDocument) -> list[_T]:
-    """parse(obj, cfg) for the JSON object on each non-blank line; errors name file:line."""
-    items = []
+_decode = json.JSONDecoder().raw_decode
+_CSV_SPECIAL = re.compile('[,"\r\n]')
+
+
+def _read_jsonl(path: str, kind: str, parse: Callable[[dict], _T]) -> list[_T]:
+    """parse(obj) for each non-blank line's JSON object, each with a new id; errors name file:line."""
+    items, first_line = [], {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             if line.isspace():
                 continue
+            text = line.strip(" \t\n\r")  # JSON's whitespace; str.strip also drops \x0c and \xa0
             try:
-                obj = json.loads(line)
+                try:
+                    obj, end = _decode(text)
+                except json.JSONDecodeError:
+                    end = -1
+                if end != len(text):
+                    obj = json.loads(line)  # raises json's own message, columns counted in line
                 if not isinstance(obj, dict):
                     raise ValueError("expected a JSON object per line")
-                items.append(parse(obj, cfg))
+                items.append(parse(obj))
+                item_id = obj["id"]  # parse has read it as a JSON string
+                if _CSV_SPECIAL.search(item_id):  # the schedule CSV prints ids unquoted
+                    raise ValueError(f"field 'id' must not hold a comma, quote or line break, "
+                                     f"got {json.dumps(item_id)}")
+                first = first_line.setdefault(item_id, lineno)
+                if first != lineno:
+                    raise ValueError(f"duplicate {kind} id {item_id!r} (first on line {first})")
             except ValueError as exc:
                 why = f"invalid JSON: {exc}" if isinstance(exc, json.JSONDecodeError) else exc
                 raise ValueError(f"{path}:{lineno}: {why}") from None
     return items
 
 
-def _parse_record(obj: dict, cfg: ConfigDocument) -> PerceptionRecord:
-    args = (
-        _string(obj, "id"),
-        _string(obj, "source"),
-        _number(obj, "t0"),
-        _number(obj, "d_o"),
-        parse_temporal(obj),
-        resolve_name(cfg.sensors, _string(obj, "sensor"), "sensor"),
-        _at("field 'mode'", resolve_mode, obj.get("mode", PROCESSED)),
-    )
-    # The constructor's one range check not made above is the one on d_o.
-    return _at("field 'd_o'", PerceptionRecord, *args)
+def _parse_record(cfg: ConfigDocument, resolved: dict, obj: dict) -> PerceptionRecord:
+    head = (_string(obj, "id"), _string(obj, "source"), _number(obj, "t0"), _number(obj, "d_o"))
+    # Only all-string triples are cached: as dict keys 1, 1.0 and true are one.
+    temporal, sensor, mode = key = (obj.get("temporal"), obj.get("sensor"), obj.get("mode", PROCESSED))
+    cacheable = type(temporal) is str and type(sensor) is str and type(mode) is str
+    tail = resolved.get(key) if cacheable else None
+    if tail is None:
+        tail = (parse_temporal(obj), resolve_name(cfg.sensors, _string(obj, "sensor"), "sensor"),
+                _at("field 'mode'", resolve_mode, mode))
+        if cacheable:
+            resolved[key] = tail
+    try:
+        return PerceptionRecord(*head, *tail)
+    except ValueError as exc:  # the one range check not made above is the one on d_o
+        raise ValueError(f"field 'd_o': {exc}") from None
 
 
 def load_records(path: str, cfg: ConfigDocument) -> list[PerceptionRecord]:
@@ -285,10 +310,11 @@ def load_records(path: str, cfg: ConfigDocument) -> list[PerceptionRecord]:
     Fields: id, source, t0, d_o, temporal (class name or decay rate),
     sensor (config name), mode (optional, default processed).
     """
-    return _read_jsonl(path, _parse_record, cfg)
+    # One (temporal, sensor, mode) cache per load, as a config may redefine a sensor name.
+    return _read_jsonl(path, "record", partial(_parse_record, cfg, {}))
 
 
-def _parse_receiver(obj: dict, cfg: ConfigDocument) -> ReceiverView:
+def _parse_receiver(cfg: ConfigDocument, obj: dict) -> ReceiverView:
     return _at(
         "field 'distance'", ReceiverView, _string(obj, "id"), _number(obj, "distance"),
         resolve_name(cfg.scenarios, _string(obj, "scenario"), "scenario"),
@@ -297,7 +323,7 @@ def _parse_receiver(obj: dict, cfg: ConfigDocument) -> ReceiverView:
 
 def load_receivers(path: str, cfg: ConfigDocument) -> list[ReceiverView]:
     """Read receiver views, one JSON object per line: id, distance, scenario."""
-    return _read_jsonl(path, _parse_receiver, cfg)
+    return _read_jsonl(path, "receiver", partial(_parse_receiver, cfg))
 
 
 def _parse_series(obj: Any, cfg: ConfigDocument) -> SweepSeries:

@@ -14,15 +14,13 @@ always produce the same ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import attrgetter
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from . import voi
 
 
-@dataclass(frozen=True)
-class PerceptionRecord:
-    """A sensed observation held by one vehicle, awaiting a send decision."""
-
+class _RecordFields(NamedTuple):
     id: str
     source_vehicle: str
     generated_at: float
@@ -31,11 +29,22 @@ class PerceptionRecord:
     sensor: voi.SensorModel
     mode: str = voi.PROCESSED
 
-    def __post_init__(self) -> None:
-        if self.object_distance < 0:
-            raise ValueError(f"object distance must be non-negative, got {self.object_distance}")
-        if self.mode not in voi.MODES:
-            raise ValueError(f"mode must be one of {voi.MODES}, got {self.mode!r}")
+
+class PerceptionRecord(_RecordFields):
+    """A sensed observation held by one vehicle, awaiting a send decision (an immutable tuple)."""
+
+    __slots__ = ()
+
+    def __new__(cls, id, source_vehicle, generated_at, object_distance, temporal, sensor, mode=voi.PROCESSED):
+        if object_distance < 0:
+            raise ValueError(f"object distance must be non-negative, got {object_distance}")
+        if mode not in voi.MODES:
+            raise ValueError(f"mode must be one of {voi.MODES}, got {mode!r}")
+        return tuple.__new__(cls, (id, source_vehicle, generated_at, object_distance, temporal, sensor, mode))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> PerceptionRecord:
+        return cls(*iterable)  # so that _replace, which builds through _make, keeps the checks
 
 
 @dataclass(frozen=True)
@@ -65,8 +74,7 @@ class SchedulerConfig:
             raise ValueError(f"threshold must be in [0, 1], got {self.threshold}")
 
 
-@dataclass(frozen=True)
-class RankedEntry:
+class RankedEntry(NamedTuple):
     """One record's best value over the receivers and the receiver reaching it.
 
     Among receivers of equal value the smallest receiver id wins.
@@ -106,12 +114,13 @@ def score_record(
     return voi.overall_voi(ctx, cfg.profile, cfg.params)
 
 
-def _reject_duplicates(ids: Iterable[str], kind: str) -> None:
-    seen: set[str] = set()
-    for item in ids:
-        if item in seen:
-            raise ValueError(f"duplicate {kind} id {item!r}")
-        seen.add(item)
+def _reject_duplicates(ids: Sequence[str], kind: str) -> None:
+    if len(set(ids)) < len(ids):
+        seen: set[str] = set()
+        for item in ids:
+            if item in seen:
+                raise ValueError(f"duplicate {kind} id {item!r}")
+            seen.add(item)
 
 
 def _proximity_groups(
@@ -148,8 +157,8 @@ def rank(
     """
     if not receivers:
         raise ValueError("at least one receiver is required")
-    _reject_duplicates((v.receiver_id for v in receivers), "receiver")
-    _reject_duplicates((r.id for r in records), "record")
+    _reject_duplicates([v.receiver_id for v in receivers], "receiver")
+    _reject_duplicates([r.id for r in records], "record")
     groups = _proximity_groups(receivers, cfg)
     overall = cfg.profile.overall
 
@@ -171,7 +180,8 @@ def rank(
                 if value > best_value or (value == best_value and receiver_id < best_receiver):
                     best_value, best_receiver = value, receiver_id
         entries.append(RankedEntry(record.id, best_value, best_receiver))
-    entries.sort(key=lambda e: (-e.best_value, e.record_id))
+    entries.sort()  # by record id, as ids are unique
+    entries.sort(key=attrgetter("best_value"), reverse=True)  # stable: ties stay in id order
     return entries
 
 

@@ -1,9 +1,10 @@
 import copy
 import json
+import random
 
 import pytest
 
-from conftest import NOT_FINITE_NUMBERS
+from conftest import DATA_DIR, NOT_FINITE_NUMBERS
 from voinet.cli import main
 
 
@@ -168,8 +169,13 @@ def test_assess_all_maxima(capsys):
 def test_assess_input_errors(capsys):
     code, _, err = run_cli(capsys, "assess", "--profile", "safety", "--scenario", "sea", "--distance", "1")
     assert code == 1 and "unknown scenario" in err
-    code, _, err = run_cli(capsys, "assess", "--profile", "safety", "--distance", "-5")
-    assert code == 1 and "non-negative" in err
+    for flag in ("--distance", "--aoi", "--obs-distance", "--ptd"):
+        args = ["assess", "--profile", "safety", "--distance", "1", flag, "-5"]
+        code, out, err = run_cli(capsys, *args)
+        assert code == 1 and out == ""
+        assert f"argument {flag}: must be non-negative, got '-5'" in err
+    code, out, err = run_cli(capsys, "assess", "--profile", "safety", "--distance=-0", "--aoi=-0.0")
+    assert code == 0 and err == ""
 
 
 def test_float_flags_must_be_finite(capsys, tmp_path):
@@ -388,7 +394,7 @@ def test_schedule_input_errors(capsys, tmp_path):
         capsys, "schedule", "--records", rec, "--receivers", rcv,
         "--profile", "safety", "--threshold", "0.5",
     )
-    assert code == 1 and "duplicate record id 'dup'" in err
+    assert code == 1 and "records.jsonl:2: duplicate record id 'dup' (first on line 1)" in err
 
     rec, rcv = schedule_files(tmp_path, [base_record("r", 10.0)], [])
     code, _, err = run_cli(
@@ -412,7 +418,8 @@ def test_schedule_input_errors(capsys, tmp_path):
         capsys, "schedule", "--records", rec, "--receivers", rcv,
         "--profile", "safety", "--threshold", "0.5",
     )
-    assert code == 1 and out == "" and "duplicate receiver id 'x'" in err
+    assert code == 1 and out == ""
+    assert "receivers.jsonl:2: duplicate receiver id 'x' (first on line 1)" in err
 
     for bad in NOT_FINITE_NUMBERS:
         for field, where in (("t0", "records.jsonl:2"), ("d_o", "records.jsonl:2"),
@@ -452,6 +459,51 @@ def test_schedule_input_errors(capsys, tmp_path):
         )
         assert code == 1 and out == ""
         assert message in err and "Traceback" not in err
+
+
+def golden_batch(seed=9, records=300, receivers=12):
+    """A seeded batch that reaches every loader branch: 10% clones, class
+    names and numeric (int and float) temporal values, all sensors, every
+    mode spelling and the default, both scenarios, and two receivers at the
+    same distance and scenario, so a record's winner is picked by id."""
+    rng = random.Random(seed)
+    ids = [f"obj-{n:04d}" for n in range(records)]
+    rng.shuffle(ids)
+    batch = []
+    for rid in ids:
+        if batch and rng.random() < 0.1:
+            batch.append(dict(rng.choice(batch), id=rid))
+            continue
+        record = {
+            "id": rid,
+            "source": f"car-{rng.randrange(16)}",
+            "t0": round(rng.uniform(0.0, 5.0), 3),
+            "d_o": rng.choice([round(rng.uniform(0.0, 300.0), 2), rng.randrange(300)]),
+            "temporal": rng.choice(["static", "variable", "dynamic", 0.5, 2, 3.75]),
+            "sensor": rng.choice(["low", "medium", "high"]),
+        }
+        mode = rng.choice(["processed", "nonprocessed", "non_processed", None])
+        if mode is not None:
+            record["mode"] = mode
+        batch.append(record)
+    views = [
+        {"id": f"rx-{i:02d}", "distance": round(rng.uniform(40.0, 300.0), 1),
+         "scenario": rng.choice(["urban", "highway"])}
+        for i in range(receivers - 2)
+    ]
+    views += [{"id": rid, "distance": 100, "scenario": "highway"} for rid in ("rx-tie-b", "rx-tie-a")]
+    rng.shuffle(views)
+    return batch, views
+
+
+def test_schedule_matches_the_golden_csv(capsys, tmp_path):
+    rec, rcv = schedule_files(tmp_path, *golden_batch())
+    code, out, err = run_cli(
+        capsys, "schedule", "--records", rec, "--receivers", rcv,
+        "--profile", "traffic", "--threshold", "0.3", "--now", "6",
+    )
+    assert code == 0 and err == ""
+    assert out == (DATA_DIR / "schedule_golden.csv").read_text()
 
 
 def test_schedule_rejects_a_nan_weight(capsys, tmp_path):

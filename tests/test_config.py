@@ -224,6 +224,38 @@ def test_load_records_error_reporting(tmp_path):
         with pytest.raises(ValueError) as info:
             cfgmod.load_records(str(path), cfg)
         assert str(info.value) == f"{path}:2: {message}"
+    # Each line is checked in full, whatever earlier lines resolved.
+    ok = dict(record, temporal="variable", mode="non_processed")
+    for lines, message in (
+        # 1 and true are equal as dict keys.
+        ([dict(record, temporal=1), dict(record, id="r2", temporal=True)],
+         "2: field 'temporal' must be a finite number, got true"),
+        ([ok, dict(ok, id="r2", d_o=-1)],
+         "2: field 'd_o': object distance must be non-negative, got -1.0"),
+        ([ok, dict(ok, id="r2", d_o="1")], "2: field 'd_o' must be a finite number, got \"1\""),
+        ([ok, dict(ok, id="r1")], "2: duplicate record id 'r1' (first on line 1)"),
+        ([ok, dict(ok, id="r2"), dict(ok, id="r1")], "3: duplicate record id 'r1' (first on line 1)"),
+    ):
+        write_lines(path, lines)
+        with pytest.raises(ValueError) as info:
+            cfgmod.load_records(str(path), cfg)
+        assert str(info.value) == f"{path}:{message}"
+    # Each line must hold exactly one JSON object, with only JSON's whitespace around it.
+    line = json.dumps(record)
+    for text, message in (
+        # Joined with a comma, these two lines would decode as two objects.
+        ('{"a":[{}\n{}]}, {}\n', ":1: invalid JSON: Expecting ',' delimiter"),
+        (f"{line} {line}\n", ":1: invalid JSON: Extra data: line 1 column"),
+        (f"\x0c{line}\n", ":1: invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+        (f"\n{line} \n", ":2: invalid JSON: Extra data: line 1 column"),
+        ("[]\n", ":1: expected a JSON object per line"),
+    ):
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            cfgmod.load_records(str(path), cfg)
+        assert str(info.value).startswith(f"{path}{message}")
+    path.write_text(f" \t{line}\r\n\n\x0c\n")  # JSON whitespace around a line; blank lines
+    assert [r.id for r in cfgmod.load_records(str(path), cfg)] == ["r1"]
     receivers = tmp_path / "receivers.jsonl"
     for field, value, message in (
         ("distance", -3, "field 'distance': receiver distance must be non-negative, got -3.0"),
@@ -234,6 +266,21 @@ def test_load_records_error_reporting(tmp_path):
         with pytest.raises(ValueError) as info:
             cfgmod.load_receivers(str(receivers), cfg)
         assert str(info.value) == f"{receivers}:1: {message}"
+    receiver = {"id": "a", "distance": 1, "scenario": "urban"}
+    write_lines(receivers, [receiver, dict(receiver, distance=2), dict(receiver, id="b")])
+    with pytest.raises(ValueError) as info:
+        cfgmod.load_receivers(str(receivers), cfg)
+    assert str(info.value) == f"{receivers}:2: duplicate receiver id 'a' (first on line 1)"
+    # The schedule CSV prints ids unquoted, so they may not hold its delimiters.
+    for bad in ("a,b", 'a"b', "a\rb", "a\nb"):
+        why = f"field 'id' must not hold a comma, quote or line break, got {json.dumps(bad)}"
+        for load, target, obj in (
+            (cfgmod.load_records, path, record), (cfgmod.load_receivers, receivers, receiver)
+        ):
+            write_lines(target, [dict(obj, id="ok"), dict(obj, id=bad)])
+            with pytest.raises(ValueError) as info:
+                load(str(target), cfg)
+            assert str(info.value) == f"{target}:2: {why}"
 
 
 def test_load_receivers(tmp_path):

@@ -135,6 +135,25 @@ def test_filter_puts_every_entry_in_exactly_one_list():
     assert [e.record_id for e in cancelled] == ["b"]
 
 
+def test_records_and_entries_are_immutable_and_checked():
+    record = make_record()
+    entry = scheduler.RankedEntry(record_id="r1", best_value=0.5, best_receiver="rx1")
+    for obj, field in ((record, "object_distance"), (record, "mode"), (entry, "best_value")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, 1.0)
+    with pytest.raises(AttributeError):
+        record.extra = 1  # no instance dict either
+    assert record == make_record() and record.mode == voi.PROCESSED  # the default
+    with pytest.raises(ValueError, match=r"object distance must be non-negative, got -1\.0"):
+        make_record(d_o=-1.0)
+    with pytest.raises(ValueError, match="mode must be one of"):
+        make_record(mode="raw")
+    # _replace rebuilds through the same checks.
+    assert record._replace(object_distance=3.0).object_distance == 3.0
+    with pytest.raises(ValueError, match="object distance must be non-negative"):
+        record._replace(object_distance=-2.0)
+
+
 def test_threshold_validation():
     with pytest.raises(ValueError, match="threshold"):
         make_cfg(threshold=1.5)
