@@ -1,0 +1,51 @@
+"""What voinet's checked value types share.
+
+Each value type is a NamedTuple of its fields, subclassed by the public
+type, whose ``__new__`` checks (and may normalise or derive) the fields.
+namedtuple's own ``_make``, which its ``_replace`` calls, builds the tuple
+without ``__new__``; ``Checked`` sends both through ``__new__``, so no way
+of constructing a value skips its checks. ``check_csv_text`` is the one
+rule for text that a CSV prints unquoted: record and receiver ids, and
+sweep series labels.
+"""
+
+from __future__ import annotations
+
+import json
+import re
+from typing import Any, Iterable
+
+_CSV_SPECIAL = re.compile('[,"\r\n]')
+
+
+class Checked:
+    """Mixin, listed before the fields NamedTuple, for a type that checks in ``__new__``.
+
+    The last ``_derived`` fields are computed by ``__new__``, not passed to
+    it: ``_make`` takes the other fields, and ``_replace`` refuses the
+    derived ones and computes them afresh.
+    """
+
+    __slots__ = ()
+    _derived = 0
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> Any:
+        return cls(*iterable)
+
+    def _replace(self, /, **changes: Any) -> Any:
+        inputs = self._fields[: len(self._fields) - self._derived]
+        result = self._make(map(changes.pop, inputs, self))
+        if changes:
+            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+        return result
+
+    def __getnewargs__(self) -> tuple:  # copy and pickle rebuild through __new__
+        return tuple(self)[: len(self) - self._derived]
+
+
+def check_csv_text(name: str, value: str) -> None:
+    """Raise if a text field printed unquoted in a CSV holds a comma, quote or line break."""
+    if _CSV_SPECIAL.search(value):
+        raise ValueError(f"field {name!r} must not hold a comma, quote or line break, "
+                         f"got {json.dumps(value)}")

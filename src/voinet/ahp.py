@@ -9,8 +9,9 @@ consistency ratio gates the quality of the chosen scores.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
+
+from ._checked import Checked
 
 SAATY_MIN = 1.0 / 9.0
 SAATY_MAX = 9.0
@@ -37,28 +38,30 @@ RANDOM_INDEX: dict[int, float] = {
 CONSISTENCY_LIMIT = 0.1
 
 
-@dataclass(frozen=True)
-class ComparisonMatrix:
-    """Positive reciprocal matrix of pairwise attribute scores.
-
-    ``entries`` is taken from any nested sequence of rows and stored as a
-    tuple of float tuples, so it cannot be changed. Entries must lie on the
-    Saaty scale [1/9, 9], the diagonal must be exactly 1, and
-    ``entries[j][k] * entries[k][j]`` must equal 1 within ``RECIPROCITY_TOL``.
-    """
-
+class _MatrixFields(NamedTuple):
     labels: tuple[str, ...]
     entries: tuple[tuple[float, ...], ...]
 
-    def __post_init__(self) -> None:
-        labels = tuple(self.labels)
-        object.__setattr__(self, "labels", labels)
+
+class ComparisonMatrix(Checked, _MatrixFields):
+    """Positive reciprocal matrix of pairwise attribute scores (an immutable tuple).
+
+    ``labels`` is stored as a tuple, and ``entries`` is taken from any nested
+    sequence of rows and stored as a tuple of float tuples. Entries must lie
+    on the Saaty scale [1/9, 9], the diagonal must be exactly 1, and
+    ``entries[j][k] * entries[k][j]`` must equal 1 within ``RECIPROCITY_TOL``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, labels: Sequence[str], entries: Sequence[Sequence[float]]) -> ComparisonMatrix:
+        labels = tuple(labels)
         if len(labels) < 2:
             raise ValueError(f"need at least 2 attributes, got {len(labels)}")
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate attribute labels in {labels}")
         n = len(labels)
-        entries = tuple(tuple(float(v) for v in row) for row in self.entries)
+        entries = tuple(tuple(float(v) for v in row) for row in entries)
         lengths = [len(row) for row in entries]
         if lengths != [n] * n:
             if len(set(lengths)) == 1:
@@ -81,31 +84,33 @@ class ComparisonMatrix:
                         f"entries for pair ({labels[j]}, {labels[k]}) are not reciprocal: "
                         f"{entries[j][k]!r} vs {entries[k][j]!r}"
                     )
-        object.__setattr__(self, "entries", entries)
+        return tuple.__new__(cls, (labels, entries))
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
-class EigenSolution:
-    """Dominant eigenvalue and the unit-sum normalized eigenvector."""
-
+class _EigenFields(NamedTuple):
     lambda_max: float
     weights: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        weights = tuple(float(w) for w in self.weights)
-        object.__setattr__(self, "weights", weights)
+
+class EigenSolution(Checked, _EigenFields):
+    """Dominant eigenvalue and the unit-sum normalized eigenvector, as floats."""
+
+    __slots__ = ()
+
+    def __new__(cls, lambda_max: float, weights: Sequence[float]) -> EigenSolution:
+        weights = tuple(float(w) for w in weights)
         if abs(sum(weights) - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {sum(weights)!r}, expected 1")
         if any(w < 0.0 or w > 1.0 for w in weights):
             raise ValueError(f"weights outside [0, 1]: {weights}")
+        return tuple.__new__(cls, (lambda_max, weights))
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     """Consistency check of an eigensolution against the random index."""
 
     consistency_index: float

@@ -11,13 +11,12 @@ holds the file, line, entry or series says where, through _at.
 from __future__ import annotations
 
 import json
-import re
 import sys
-from dataclasses import dataclass, fields, replace
 from functools import partial
-from typing import Any, Callable, Mapping, TypeVar
+from typing import Any, Callable, Mapping, NamedTuple, TypeVar
 
 from . import ahp
+from ._checked import check_csv_text
 from .scheduler import PerceptionRecord, ReceiverView
 from .sweep import SweepSeries, SweepSpec
 from .voi import (
@@ -48,8 +47,7 @@ _FLOAT_MAX = sys.float_info.max
 _T = TypeVar("_T")
 
 
-@dataclass(frozen=True)
-class ConfigDocument:
+class ConfigDocument(NamedTuple):
     """Resolved configuration: every name maps to a constructed object."""
 
     profiles: dict[str, ApplicationProfile]
@@ -96,7 +94,7 @@ def read_json(path: str) -> Any:
     with open(path) as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
             raise ValueError(f"{path}: invalid JSON: {exc}") from None
 
 
@@ -219,11 +217,12 @@ def _parse_sensor(name: str, obj: Mapping[str, Any]) -> SensorModel:
 
 
 def _parse_logistic(obj: Mapping[str, Any]) -> LogisticParams:
-    known = [f.name for f in fields(LogisticParams)]
-    unknown = set(obj) - set(known)
+    unknown = set(obj) - set(LogisticParams._fields)
     if unknown:
-        raise ValueError(f"unknown logistic parameters {sorted(unknown)}; known: {known}")
-    return replace(DEFAULT_LOGISTIC, **{k: _number(obj, k) for k in obj})
+        raise ValueError(
+            f"unknown logistic parameters {sorted(unknown)}; known: {list(LogisticParams._fields)}"
+        )
+    return DEFAULT_LOGISTIC._replace(**{k: _number(obj, k) for k in obj})
 
 
 def resolve_mode(raw: Any) -> str:
@@ -253,7 +252,6 @@ def parse_temporal(obj: Mapping[str, Any]):
 
 
 _decode = json.JSONDecoder().raw_decode
-_CSV_SPECIAL = re.compile('[,"\r\n]')
 
 
 def _read_jsonl(path: str, kind: str, parse: Callable[[dict], _T]) -> list[_T]:
@@ -269,15 +267,15 @@ def _read_jsonl(path: str, kind: str, parse: Callable[[dict], _T]) -> list[_T]:
                     obj, end = _decode(text)
                 except json.JSONDecodeError:
                     end = -1
+                except RecursionError as exc:  # nested too deep
+                    raise ValueError(f"invalid JSON: {exc}") from None
                 if end != len(text):
                     obj = json.loads(line)  # raises json's own message, columns counted in line
                 if not isinstance(obj, dict):
                     raise ValueError("expected a JSON object per line")
                 items.append(parse(obj))
                 item_id = obj["id"]  # parse has read it as a JSON string
-                if _CSV_SPECIAL.search(item_id):  # the schedule CSV prints ids unquoted
-                    raise ValueError(f"field 'id' must not hold a comma, quote or line break, "
-                                     f"got {json.dumps(item_id)}")
+                check_csv_text("id", item_id)  # the schedule CSV prints ids unquoted
                 first = first_line.setdefault(item_id, lineno)
                 if first != lineno:
                     raise ValueError(f"duplicate {kind} id {item_id!r} (first on line {first})")

@@ -13,11 +13,11 @@ always produce the same ordering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import voi
+from ._checked import Checked
 
 
 class _RecordFields(NamedTuple):
@@ -27,10 +27,10 @@ class _RecordFields(NamedTuple):
     object_distance: float
     temporal: voi.TemporalClass
     sensor: voi.SensorModel
-    mode: str = voi.PROCESSED
+    mode: str
 
 
-class PerceptionRecord(_RecordFields):
+class PerceptionRecord(Checked, _RecordFields):
     """A sensed observation held by one vehicle, awaiting a send decision (an immutable tuple)."""
 
     __slots__ = ()
@@ -42,36 +42,43 @@ class PerceptionRecord(_RecordFields):
             raise ValueError(f"mode must be one of {voi.MODES}, got {mode!r}")
         return tuple.__new__(cls, (id, source_vehicle, generated_at, object_distance, temporal, sensor, mode))
 
-    @classmethod
-    def _make(cls, iterable: Iterable[Any]) -> PerceptionRecord:
-        return cls(*iterable)  # so that _replace, which builds through _make, keeps the checks
 
-
-@dataclass(frozen=True)
-class ReceiverView:
-    """A candidate receiver: its id, distance from the sender, and scenario."""
-
+class _ReceiverFields(NamedTuple):
     receiver_id: str
     distance: float
     scenario: voi.Scenario
 
-    def __post_init__(self) -> None:
-        if self.distance < 0:
-            raise ValueError(f"receiver distance must be non-negative, got {self.distance}")
+
+class ReceiverView(Checked, _ReceiverFields):
+    """A candidate receiver: its id, distance from the sender, and scenario."""
+
+    __slots__ = ()
+
+    def __new__(cls, receiver_id: str, distance: float, scenario: voi.Scenario) -> ReceiverView:
+        if distance < 0:
+            raise ValueError(f"receiver distance must be non-negative, got {distance}")
+        return tuple.__new__(cls, (receiver_id, distance, scenario))
 
 
-@dataclass(frozen=True)
-class SchedulerConfig:
-    """Profile, send threshold in [0, 1], and the evaluation instant."""
-
+class _ConfigFields(NamedTuple):
     profile: voi.ApplicationProfile
     threshold: float
     now: float
-    params: voi.LogisticParams = voi.DEFAULT_LOGISTIC
+    params: voi.LogisticParams
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.threshold <= 1.0):
-            raise ValueError(f"threshold must be in [0, 1], got {self.threshold}")
+
+class SchedulerConfig(Checked, _ConfigFields):
+    """Profile, send threshold in [0, 1], and the evaluation instant."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, profile: voi.ApplicationProfile, threshold: float, now: float,
+        params: voi.LogisticParams = voi.DEFAULT_LOGISTIC,
+    ) -> SchedulerConfig:
+        if not (0.0 <= threshold <= 1.0):
+            raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+        return tuple.__new__(cls, (profile, threshold, now, params))
 
 
 class RankedEntry(NamedTuple):
@@ -85,12 +92,12 @@ class RankedEntry(NamedTuple):
     best_receiver: str
 
 
-def _age(record: PerceptionRecord, cfg: SchedulerConfig) -> float:
-    aoi = cfg.now - record.generated_at
+def _age(record: PerceptionRecord, now: float) -> float:
+    aoi = now - record.generated_at
     if aoi < 0:
         raise ValueError(
             f"record {record.id!r} was generated at {record.generated_at}, "
-            f"after the scheduler clock {cfg.now}"
+            f"after the scheduler clock {now}"
         )
     return aoi
 
@@ -104,7 +111,7 @@ def score_record(
     """
     ctx = voi.AssessmentContext(
         distance=view.distance,
-        aoi=_age(record, cfg),
+        aoi=_age(record, cfg.now),
         scenario=view.scenario,
         temporal=record.temporal,
         sensor=record.sensor,
@@ -160,11 +167,15 @@ def rank(
     _reject_duplicates([v.receiver_id for v in receivers], "receiver")
     _reject_duplicates([r.id for r in records], "record")
     groups = _proximity_groups(receivers, cfg)
-    overall = cfg.profile.overall
+    # Fields bound once: a NamedTuple field read costs more than a local. The
+    # sum is ApplicationProfile.overall's, term for term, so values stay
+    # bitwise equal to score_record's.
+    now = cfg.now
+    w_t, w_p, w_q = cfg.profile.weights
 
     entries = []
     for record in records:
-        t = voi.timeliness_voi(_age(record, cfg), record.temporal)
+        t = voi.timeliness_voi(_age(record, now), record.temporal)
         voi.check_score("timeliness", t)
         best_value, best_receiver = -1.0, ""  # every value is >= 0
         for scenario, members in groups:
@@ -172,7 +183,7 @@ def rank(
             voi.check_score("quality", q)
             top = None
             for p, receiver_id in members:
-                value = overall(t, p, q)
+                value = w_t * t + w_p * p + w_q * q
                 if top is None:
                     top = value
                 elif value != top:
@@ -193,6 +204,7 @@ def filter_broadcast(
     An entry transmits when its best value reaches cfg.threshold and is
     cancelled otherwise; both returned lists preserve the rank order.
     """
-    transmit = [e for e in entries if e.best_value >= cfg.threshold]
-    cancelled = [e for e in entries if not e.best_value >= cfg.threshold]
+    threshold = cfg.threshold
+    transmit = [e for e in entries if e.best_value >= threshold]
+    cancelled = [e for e in entries if not e.best_value >= threshold]
     return transmit, cancelled

@@ -9,9 +9,10 @@ tests; `run_sweep` also accepts hand-built specs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from io import StringIO
+from typing import NamedTuple
 
+from ._checked import Checked, check_csv_text
 from .voi import (
     DEFAULT_LOGISTIC,
     DYNAMIC,
@@ -47,97 +48,119 @@ RESOLUTION_NOTE = "resolution pinned to 1280 px (the nominal 1080 px does not re
 FIG5A_NOTE = "temporal decay pinned to 0.5 (neither 0 nor 10 reproduces the reference curves)"
 
 
-@dataclass(frozen=True)
-class SweepSeries:
+class _SeriesFields(NamedTuple):
+    label: str
+    profile: ApplicationProfile | None
+    scenario: Scenario | None
+    temporal: TemporalClass | None
+    sensor: SensorModel | None
+    mode: str
+    attribute: str
+    aoi: float | None
+    distance: float | None
+    obs_distance: float | None
+
+
+_REQUIRED = {
+    "overall": ("profile", "scenario", "temporal", "sensor"),
+    "proximity": ("scenario",),
+    "timeliness": ("temporal",),
+    "quality": ("sensor",),
+}
+
+
+class SweepSeries(Checked, _SeriesFields):
     """One labeled curve: which quantity to evaluate, and the fixed context.
 
     For distance sweeps, aoi holds the fixed age; for aoi sweeps,
     distance holds the fixed separation. A quality-attribute series
-    reads the sweep variable as the observation distance itself.
+    reads the sweep variable as the observation distance itself. The
+    label is a CSV column name, printed unquoted.
     """
 
-    label: str
-    profile: ApplicationProfile | None = None
-    scenario: Scenario | None = None
-    temporal: TemporalClass | None = None
-    sensor: SensorModel | None = None
-    mode: str = PROCESSED
-    attribute: str = "overall"
-    aoi: float | None = None
-    distance: float | None = None
-    obs_distance: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.attribute not in ATTRIBUTE_CHOICES:
-            raise ValueError(
-                f"attribute must be one of {ATTRIBUTE_CHOICES}, got {self.attribute!r}"
-            )
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        required = {
-            "overall": ("profile", "scenario", "temporal", "sensor"),
-            "proximity": ("scenario",),
-            "timeliness": ("temporal",),
-            "quality": ("sensor",),
-        }[self.attribute]
-        for name in required:
+    def __new__(
+        cls, label: str, profile: ApplicationProfile | None = None, scenario: Scenario | None = None,
+        temporal: TemporalClass | None = None, sensor: SensorModel | None = None,
+        mode: str = PROCESSED, attribute: str = "overall", aoi: float | None = None,
+        distance: float | None = None, obs_distance: float | None = None,
+    ) -> SweepSeries:
+        check_csv_text("label", label)
+        if attribute not in ATTRIBUTE_CHOICES:
+            raise ValueError(f"attribute must be one of {ATTRIBUTE_CHOICES}, got {attribute!r}")
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        self = tuple.__new__(
+            cls, (label, profile, scenario, temporal, sensor, mode, attribute, aoi, distance, obs_distance)
+        )
+        for name in _REQUIRED[attribute]:
             if getattr(self, name) is None:
-                raise ValueError(f"series {self.label!r}: {self.attribute} needs {name}")
-        if self.attribute == "quality" and self.mode == NON_PROCESSED and self.scenario is None:
-            raise ValueError(f"series {self.label!r}: non-processed quality needs scenario")
+                raise ValueError(f"series {label!r}: {attribute} needs {name}")
+        if attribute == "quality" and mode == NON_PROCESSED and scenario is None:
+            raise ValueError(f"series {label!r}: non-processed quality needs scenario")
+        return self
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Grid plus series definitions.
-
-    obs_grid, when set, snaps the derived observation distance of
-    overall-score series down to a multiple of itself (the reference
-    curves sample d_o this way); explicit per-series obs_distance wins.
-    points, the grid size, is derived and capped at MAX_GRID_POINTS.
-    """
-
+class _SpecFields(NamedTuple):
     variable: str
     start: float
     stop: float
     step: float
     series: tuple[SweepSeries, ...]
-    obs_grid: float | None = None
-    name: str = "custom"
-    notes: tuple[str, ...] = ()
-    points: int = field(init=False, repr=False)
+    obs_grid: float | None
+    name: str
+    notes: tuple[str, ...]
+    points: int
 
-    def __post_init__(self) -> None:
-        if self.variable not in VARIABLES:
-            raise ValueError(f"variable must be one of {VARIABLES}, got {self.variable!r}")
-        for name in ("start", "stop", "step"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.step <= 0:
-            raise ValueError(f"step must be positive, got {self.step}")
-        if self.start > self.stop:
-            raise ValueError(f"start {self.start} exceeds stop {self.stop}")
-        if self.start < 0:
-            raise ValueError(f"start must be non-negative, got {self.start}")
-        if not self.series:
+
+class SweepSpec(Checked, _SpecFields):
+    """Grid plus series definitions.
+
+    obs_grid, when set, snaps the derived observation distance of
+    overall-score series down to a multiple of itself (the reference
+    curves sample d_o this way); explicit per-series obs_distance wins.
+    points, the grid size, is derived on every construction, capped at
+    MAX_GRID_POINTS; it is not an argument.
+    """
+
+    __slots__ = ()
+    _derived = 1  # points
+
+    def __new__(
+        cls, variable: str, start: float, stop: float, step: float, series: tuple[SweepSeries, ...],
+        obs_grid: float | None = None, name: str = "custom", notes: tuple[str, ...] = (),
+    ) -> SweepSpec:
+        if variable not in VARIABLES:
+            raise ValueError(f"variable must be one of {VARIABLES}, got {variable!r}")
+        for field, value in (("start", start), ("stop", stop), ("step", step)):
+            if not math.isfinite(value):
+                raise ValueError(f"{field} must be finite, got {value}")
+        if step <= 0:
+            raise ValueError(f"step must be positive, got {step}")
+        if start > stop:
+            raise ValueError(f"start {start} exceeds stop {stop}")
+        if start < 0:
+            raise ValueError(f"start must be non-negative, got {start}")
+        if not series:
             raise ValueError("at least one series is required")
-        if self.obs_grid is not None and not (0.0 < self.obs_grid < math.inf):
-            raise ValueError(f"obs_grid must be positive and finite, got {self.obs_grid}")
-        labels = [s.label for s in self.series]
+        if obs_grid is not None and not (0.0 < obs_grid < math.inf):
+            raise ValueError(f"obs_grid must be positive and finite, got {obs_grid}")
+        labels = [s.label for s in series]
         if len(set(labels)) != len(labels):
             raise ValueError(f"series labels must be unique, got {labels}")
-        for s in self.series:
-            if s.attribute == "overall" and self.variable == "distance" and s.aoi is None:
+        for s in series:
+            if s.attribute == "overall" and variable == "distance" and s.aoi is None:
                 raise ValueError(f"series {s.label!r}: distance sweep needs a fixed aoi")
-            if s.attribute in ("overall", "proximity") and self.variable == "aoi" and s.distance is None:
+            if s.attribute in ("overall", "proximity") and variable == "aoi" and s.distance is None:
                 raise ValueError(f"series {s.label!r}: aoi sweep needs a fixed distance")
-            if s.attribute == "quality" and self.variable == "aoi" and s.distance is None and s.obs_distance is None:
+            if s.attribute == "quality" and variable == "aoi" and s.distance is None and s.obs_distance is None:
                 raise ValueError(f"series {s.label!r}: aoi sweep needs a fixed observation distance")
-        steps = (self.stop - self.start) / self.step + 1e-9  # inf for a vanishingly small step
+        steps = (stop - start) / step + 1e-9  # inf for a vanishingly small step
         points = int(steps) + 1 if steps < math.inf else steps
         if points > MAX_GRID_POINTS:
             raise ValueError(f"the sweep grid would have {points} points, more than {MAX_GRID_POINTS}")
-        object.__setattr__(self, "points", points)
+        return tuple.__new__(cls, (variable, start, stop, step, series, obs_grid, name, notes, points))
 
     def grid(self) -> tuple[float, ...]:
         # start + i*step keeps shared abscissae bitwise stable when the
@@ -145,8 +168,7 @@ class SweepSpec:
         return tuple(self.start + i * self.step for i in range(self.points))
 
 
-@dataclass(frozen=True)
-class CurveSet:
+class CurveSet(NamedTuple):
     """Evaluated sweep: the grid and one value tuple per series."""
 
     spec: SweepSpec

@@ -12,10 +12,10 @@ line-of-sight probability at the observation distance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import ahp
+from ._checked import Checked
 
 PROCESSED = "processed"
 NON_PROCESSED = "non_processed"
@@ -25,8 +25,16 @@ MODES = (PROCESSED, NON_PROCESSED)
 ATTRIBUTES = ("timeliness", "proximity", "quality")
 
 
-@dataclass(frozen=True)
-class LogisticParams:
+class _LogisticFields(NamedTuple):
+    upper: float
+    lower: float
+    offset: float
+    scale: float
+    decay: float
+    shape: float
+
+
+class LogisticParams(Checked, _LogisticFields):
     """Parameters of the generalized logistic proximity curve.
 
     upper is the score well inside the safety distance, lower the limit at
@@ -34,20 +42,20 @@ class LogisticParams:
     sets how fast the curve falls, shape the asymmetry exponent.
     """
 
-    upper: float = 1.0
-    lower: float = 0.0
-    offset: float = 1.0
-    scale: float = 1.0
-    decay: float = 0.03
-    shape: float = 0.2
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("upper", "lower", "offset", "scale", "decay", "shape"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"logistic {name} must be finite, got {getattr(self, name)}")
-        for name in ("offset", "scale", "decay", "shape"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+    def __new__(
+        cls, upper: float = 1.0, lower: float = 0.0, offset: float = 1.0,
+        scale: float = 1.0, decay: float = 0.03, shape: float = 0.2,
+    ) -> LogisticParams:
+        values = (upper, lower, offset, scale, decay, shape)
+        for name, value in zip(cls._fields, values):
+            if not math.isfinite(value):
+                raise ValueError(f"logistic {name} must be finite, got {value}")
+        for name, value in zip(cls._fields[2:], values[2:]):  # offset, scale, decay, shape
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+        return tuple.__new__(cls, values)
 
 
 DEFAULT_LOGISTIC = LogisticParams()
@@ -87,30 +95,37 @@ def _highway_los(distance: float) -> float:
 _BUILTIN_LOS = {"urban": _urban_los, "highway": _highway_los}
 
 
-@dataclass(frozen=True)
-class Scenario:
+class _ScenarioFields(NamedTuple):
+    kind: str
+    v_max: float
+    safety_distance: float
+    los_model: Callable[[float], float] | None
+
+
+class Scenario(Checked, _ScenarioFields):
     """Road environment: scenario kind, speed limit, safety distance.
 
     los_model, when given, replaces the built-in line-of-sight
     probability model for the kind.
     """
 
-    kind: str
-    v_max: float
-    safety_distance: float
-    los_model: Callable[[float], float] | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.los_model is None and self.kind not in _BUILTIN_LOS:
+    def __new__(
+        cls, kind: str, v_max: float, safety_distance: float,
+        los_model: Callable[[float], float] | None = None,
+    ) -> Scenario:
+        if los_model is None and kind not in _BUILTIN_LOS:
             raise ValueError(
-                f"no built-in line-of-sight model for scenario kind {self.kind!r}; "
+                f"no built-in line-of-sight model for scenario kind {kind!r}; "
                 f"pass los_model or use one of {sorted(_BUILTIN_LOS)}"
             )
         # safety_distance first: a config that gives only it derives v_max from it.
-        if self.safety_distance <= 0:
-            raise ValueError(f"safety distance must be positive, got {self.safety_distance}")
-        if self.v_max <= 0:
-            raise ValueError(f"speed limit must be positive, got {self.v_max}")
+        if safety_distance <= 0:
+            raise ValueError(f"safety distance must be positive, got {safety_distance}")
+        if v_max <= 0:
+            raise ValueError(f"speed limit must be positive, got {v_max}")
+        return tuple.__new__(cls, (kind, v_max, safety_distance, los_model))
 
     @classmethod
     def from_speed_limit(
@@ -124,16 +139,20 @@ HIGHWAY = Scenario("highway", v_max=36.0, safety_distance=72.0)
 SCENARIOS = {"urban": URBAN, "highway": HIGHWAY}
 
 
-@dataclass(frozen=True)
-class TemporalClass:
-    """How quickly an observation loses value: decay rate in 1/s."""
-
+class _TemporalFields(NamedTuple):
     name: str
     decay: float
 
-    def __post_init__(self) -> None:
-        if self.decay < 0:
-            raise ValueError(f"temporal decay must be non-negative, got {self.decay}")
+
+class TemporalClass(Checked, _TemporalFields):
+    """How quickly an observation loses value: decay rate in 1/s."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, decay: float) -> TemporalClass:
+        if decay < 0:
+            raise ValueError(f"temporal decay must be non-negative, got {decay}")
+        return tuple.__new__(cls, (name, decay))
 
 
 STATIC = TemporalClass("static", 0.0)
@@ -150,19 +169,27 @@ def temporal_from_decay(decay: float) -> TemporalClass:
     return TemporalClass("custom", decay)
 
 
-@dataclass(frozen=True)
-class SensorModel:
-    """Camera geometry: mounting height (m), field of view (deg), resolution (px)."""
-
+class _SensorFields(NamedTuple):
     height: float
     fov: float
     resolution: float
-    focal: float = field(init=False)
+    focal: float
 
-    def __post_init__(self) -> None:
-        if self.height <= 0:
-            raise ValueError(f"sensor height must be positive, got {self.height}")
-        object.__setattr__(self, "focal", focal_distance(self.resolution, self.fov))
+
+class SensorModel(Checked, _SensorFields):
+    """Camera geometry: mounting height (m), field of view (deg), resolution (px).
+
+    focal, the focal distance in pixels, is derived from resolution and fov
+    on every construction; it is not an argument.
+    """
+
+    __slots__ = ()
+    _derived = 1  # focal
+
+    def __new__(cls, height: float, fov: float, resolution: float) -> SensorModel:
+        if height <= 0:
+            raise ValueError(f"sensor height must be positive, got {height}")
+        return tuple.__new__(cls, (height, fov, resolution, focal_distance(resolution, fov)))
 
 
 SENSORS = {
@@ -172,31 +199,38 @@ SENSORS = {
 }
 
 
-@dataclass(frozen=True)
-class AssessmentContext:
+class _ContextFields(NamedTuple):
+    distance: float
+    aoi: float
+    scenario: Scenario
+    temporal: TemporalClass
+    sensor: SensorModel
+    mode: str
+    obs_distance: float | None
+
+
+class AssessmentContext(Checked, _ContextFields):
     """One evaluation point for the conditional scores.
 
     obs_distance is the sensor-to-observation distance; when omitted it
     defaults to half the transmitter-receiver distance.
     """
 
-    distance: float
-    aoi: float
-    scenario: Scenario
-    temporal: TemporalClass
-    sensor: SensorModel
-    mode: str = PROCESSED
-    obs_distance: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.distance < 0:
-            raise ValueError(f"distance must be non-negative, got {self.distance}")
-        if self.aoi < 0:
-            raise ValueError(f"age of information must be non-negative, got {self.aoi}")
-        if self.obs_distance is not None and self.obs_distance < 0:
-            raise ValueError(f"observation distance must be non-negative, got {self.obs_distance}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+    def __new__(
+        cls, distance: float, aoi: float, scenario: Scenario, temporal: TemporalClass,
+        sensor: SensorModel, mode: str = PROCESSED, obs_distance: float | None = None,
+    ) -> AssessmentContext:
+        if distance < 0:
+            raise ValueError(f"distance must be non-negative, got {distance}")
+        if aoi < 0:
+            raise ValueError(f"age of information must be non-negative, got {aoi}")
+        if obs_distance is not None and obs_distance < 0:
+            raise ValueError(f"observation distance must be non-negative, got {obs_distance}")
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        return tuple.__new__(cls, (distance, aoi, scenario, temporal, sensor, mode, obs_distance))
 
     @property
     def resolved_obs_distance(self) -> float:
@@ -205,17 +239,22 @@ class AssessmentContext:
         return self.distance / 2.0
 
 
-@dataclass(frozen=True)
-class AttributeScores:
-    """The three conditional scores, each in [0, 1]."""
-
+class _ScoreFields(NamedTuple):
     proximity: float
     timeliness: float
     quality: float
 
-    def __post_init__(self) -> None:
-        for name in ("proximity", "timeliness", "quality"):
-            check_score(name, getattr(self, name))
+
+class AttributeScores(Checked, _ScoreFields):
+    """The three conditional scores, each in [0, 1]."""
+
+    __slots__ = ()
+
+    def __new__(cls, proximity: float, timeliness: float, quality: float) -> AttributeScores:
+        check_score("proximity", proximity)
+        check_score("timeliness", timeliness)
+        check_score("quality", quality)
+        return tuple.__new__(cls, (proximity, timeliness, quality))
 
 
 def check_score(name: str, value: float) -> None:
@@ -224,27 +263,31 @@ def check_score(name: str, value: float) -> None:
         raise ValueError(f"{name} score {value!r} is outside [0, 1]")
 
 
-@dataclass(frozen=True)
-class ApplicationProfile:
+class _ProfileFields(NamedTuple):
+    name: str
+    timeliness: float
+    proximity: float
+    quality: float
+
+
+class ApplicationProfile(Checked, _ProfileFields):
     """Named attribute weights, constructed by attribute name.
 
     Weight vectors are ordered (timeliness, proximity, quality); the
     weights must be finite, non-negative and sum to 1.
     """
 
-    name: str
-    timeliness: float
-    proximity: float
-    quality: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        weights = (self.timeliness, self.proximity, self.quality)
+    def __new__(cls, name: str, timeliness: float, proximity: float, quality: float) -> ApplicationProfile:
+        weights = (timeliness, proximity, quality)
         if not all(math.isfinite(w) for w in weights):
-            raise ValueError(f"profile {self.name!r}: weights must be finite, got {weights}")
+            raise ValueError(f"profile {name!r}: weights must be finite, got {weights}")
         if any(w < 0 for w in weights):
             raise ValueError(f"weights must be non-negative, got {weights}")
         if abs(sum(weights) - 1.0) > 1e-9:
             raise ValueError(f"weights sum to {sum(weights)!r}, expected 1")
+        return tuple.__new__(cls, (name, timeliness, proximity, quality))
 
     @property
     def weights(self) -> tuple[float, float, float]:
@@ -253,7 +296,9 @@ class ApplicationProfile:
     def overall(self, timeliness: float, proximity: float, quality: float) -> float:
         """The weighted sum of the three conditional scores.
 
-        Every overall value is computed here, so all callers round alike.
+        Every overall value is computed here, so all callers round alike;
+        scheduler.rank repeats this sum with the weights bound to locals,
+        and a test keeps the two bitwise equal.
         """
         return self.timeliness * timeliness + self.proximity * proximity + self.quality * quality
 

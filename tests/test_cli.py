@@ -275,6 +275,9 @@ def test_sweep_spec_missing_key(capsys, tmp_path):
          "series[0]: field 'mode': unknown mode 'raw'"),
         (dict(good, series=[dict(good["series"][0], mode=7)]),
          "series[0]: field 'mode': mode must be a JSON string, got 7"),
+        # A label is printed unquoted in the CSV header and its "# series" line.
+        (dict(good, series=[dict(good["series"][0], label="a,b\nc")]),
+         "series[0]: field 'label' must not hold a comma, quote or line break, got \"a,b\\nc\""),
         # Text fields must be JSON strings, not coerced with str().
         (dict(good, variable=7), "field 'variable' must be a JSON string, got 7"),
         (dict(good, name=None), "field 'name' must be a JSON string, got null"),
@@ -289,6 +292,32 @@ def test_sweep_spec_missing_key(capsys, tmp_path):
         path.write_text(json.dumps(spec))
         code, _, err = run_cli(capsys, "sweep", "--spec", str(path), "--out", out_path)
         assert code == 1 and f"{path}: {message}" in err
+    assert not (tmp_path / "never.csv").exists()
+
+
+def test_json_nested_too_deep_is_located(capsys, tmp_path):
+    # json gives up on deep nesting with a RecursionError; it must read as
+    # invalid JSON in the file (and line) it came from, like any other.
+    deep = "[" * 100_000
+    good_record = json.dumps(base_record("r1", 1.0))
+    good_receiver = json.dumps({"id": "a", "distance": 1.0, "scenario": "urban"})
+    records, receivers = tmp_path / "records.jsonl", tmp_path / "receivers.jsonl"
+    other = tmp_path / "deep.json"
+    other.write_text(deep)
+    schedule = ("schedule", "--records", str(records), "--receivers", str(receivers),
+                "--profile", "safety", "--threshold", "0.5")
+    for record_lines, receiver_lines, args, where in (
+        ([good_record, deep], [good_receiver], schedule, f"{records}:2"),
+        ([good_record], [good_receiver, deep], schedule, f"{receivers}:2"),
+        ([], [], ("assess", "--config", str(other), "--profile", "safety", "--distance", "1"), other),
+        ([], [], ("weights", "--matrix", str(other)), other),
+        ([], [], ("sweep", "--spec", str(other), "--out", str(tmp_path / "never.csv")), other),
+    ):
+        records.write_text("".join(line + "\n" for line in record_lines))
+        receivers.write_text("".join(line + "\n" for line in receiver_lines))
+        code, out, err = run_cli(capsys, *args)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {where}: invalid JSON: ") and err.count("\n") == 1
     assert not (tmp_path / "never.csv").exists()
 
 

@@ -1,4 +1,4 @@
-import dataclasses
+import json
 import math
 
 import pytest
@@ -28,7 +28,7 @@ def test_fig5b_first_point_spot_value():
 
 def test_grid_refinement_is_bitwise_stable():
     spec = sweep.figure_preset("fig3a")
-    fine = sweep.run_sweep(dataclasses.replace(spec, step=spec.step / 2.0))
+    fine = sweep.run_sweep(spec._replace(step=spec.step / 2.0))
     coarse = sweep.run_sweep(spec)
     assert fine.xs[::2] == coarse.xs
     for series in spec.series:
@@ -43,7 +43,7 @@ def test_obs_grid_quantizes_the_observation_distance():
         sensor=voi.SENSORS["medium"], obs_distance=0.0,
     )
     assert at_10 == voi.overall_voi(ctx, voi.SAFETY)
-    clean = dataclasses.replace(ctx, obs_distance=5.0)
+    clean = ctx._replace(obs_distance=5.0)
     assert at_10 != voi.overall_voi(clean, voi.SAFETY)
 
 
@@ -151,7 +151,7 @@ def test_custom_overall_sweeps_match_the_scalar_score():
 
 
 def test_degenerate_grid_is_a_single_row():
-    spec = dataclasses.replace(sweep.figure_preset("fig3a"), start=100.0, stop=100.0)
+    spec = sweep.figure_preset("fig3a")._replace(start=100.0, stop=100.0)
     curves = sweep.run_sweep(spec)
     assert curves.xs == (100.0,)
     assert len(curves.to_csv().splitlines()) == len(spec.series) + 7
@@ -160,31 +160,31 @@ def test_degenerate_grid_is_a_single_row():
 def test_spec_validation():
     spec = sweep.figure_preset("fig3a")
     with pytest.raises(ValueError, match="step"):
-        dataclasses.replace(spec, step=0.0)
+        spec._replace(step=0.0)
     with pytest.raises(ValueError, match="exceeds"):
-        dataclasses.replace(spec, start=10.0, stop=0.0)
+        spec._replace(start=10.0, stop=0.0)
     with pytest.raises(ValueError, match="variable"):
-        dataclasses.replace(spec, variable="speed")
+        spec._replace(variable="speed")
     with pytest.raises(ValueError, match="obs_grid"):
-        dataclasses.replace(spec, obs_grid=-1.0)
+        spec._replace(obs_grid=-1.0)
     with pytest.raises(ValueError, match="unique"):
-        dataclasses.replace(spec, series=spec.series + spec.series[:1])
+        spec._replace(series=spec.series + spec.series[:1])
     with pytest.raises(ValueError, match="at least one series"):
-        dataclasses.replace(spec, series=())
+        spec._replace(series=())
     for name in ("start", "stop", "step"):
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
-                dataclasses.replace(spec, **{name: bad})
+                spec._replace(**{name: bad})
     with pytest.raises(ValueError, match="obs_grid"):
-        dataclasses.replace(spec, obs_grid=float("inf"))
+        spec._replace(obs_grid=float("inf"))
     # The cap is arithmetic only: a 10**12-point request builds nothing.
     with pytest.raises(ValueError, match="would have 1000000000001 points, more than 100000"):
-        dataclasses.replace(spec, stop=1e9, step=1e-3)
+        spec._replace(stop=1e9, step=1e-3)
     with pytest.raises(ValueError, match="would have inf points"):
-        dataclasses.replace(spec, stop=1e300, step=1e-300)
-    assert dataclasses.replace(spec, start=0.0, stop=sweep.MAX_GRID_POINTS - 1.0, step=1.0).points == sweep.MAX_GRID_POINTS
+        spec._replace(stop=1e300, step=1e-300)
+    assert spec._replace(start=0.0, stop=sweep.MAX_GRID_POINTS - 1.0, step=1.0).points == sweep.MAX_GRID_POINTS
     with pytest.raises(ValueError, match="100001 points"):
-        dataclasses.replace(spec, start=0.0, stop=float(sweep.MAX_GRID_POINTS), step=1.0)
+        spec._replace(start=0.0, stop=float(sweep.MAX_GRID_POINTS), step=1.0)
 
 
 def test_series_validation():
@@ -202,6 +202,15 @@ def test_series_validation():
             temporal=voi.VARIABLE, sensor=voi.SENSORS["medium"],
         )
         sweep.SweepSpec(variable="distance", start=0.0, stop=10.0, step=1.0, series=(series,))
+    # A label is a CSV column name and sits in a "# series" line, both unquoted.
+    ok = sweep.SweepSeries(label="ok: a-b", attribute="proximity", scenario=voi.URBAN)
+    for bad in ("a,b\nc", 'a"b', "a\rb", "a\nb", "a,b"):
+        why = f"field 'label' must not hold a comma, quote or line break, got {json.dumps(bad)}"
+        for build in (lambda: sweep.SweepSeries(bad, attribute="proximity", scenario=voi.URBAN),
+                      lambda: ok._replace(label=bad)):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == why
 
 
 def test_unknown_preset_lists_the_valid_names():

@@ -1,0 +1,108 @@
+"""The checked value types: immutable tuples whose checks run however they are built."""
+
+import pickle
+
+import pytest
+
+from voinet import ahp, scheduler, sweep, voi
+
+_SERIES = sweep.SweepSeries("s", attribute="proximity", scenario=voi.URBAN)
+
+# (type, every constructor argument in order, one bad field and value, its message)
+CASES = [
+    (ahp.ComparisonMatrix, dict(labels=("a", "b"), entries=((1.0, 2.0), (0.5, 1.0))),
+     ("labels", ("a",)), "need at least 2 attributes, got 1"),
+    (ahp.EigenSolution, dict(lambda_max=2.0, weights=(0.5, 0.5)),
+     ("weights", (0.5, 0.6)), "weights sum to 1.1, expected 1"),
+    (voi.LogisticParams, dict(upper=1.0, lower=0.0, offset=1.0, scale=1.0, decay=0.03, shape=0.2),
+     ("decay", -1.0), "decay must be positive, got -1.0"),
+    (voi.Scenario, dict(kind="urban", v_max=12.0, safety_distance=24.0, los_model=None),
+     ("v_max", 0.0), "speed limit must be positive, got 0.0"),
+    (voi.TemporalClass, dict(name="t", decay=1.0),
+     ("decay", -1.0), "temporal decay must be non-negative, got -1.0"),
+    (voi.SensorModel, dict(height=1.2, fov=70.0, resolution=640.0),
+     ("height", 0.0), "sensor height must be positive, got 0.0"),
+    (voi.AssessmentContext,
+     dict(distance=1.0, aoi=0.0, scenario=voi.URBAN, temporal=voi.STATIC,
+          sensor=voi.SENSORS["low"], mode=voi.PROCESSED, obs_distance=None),
+     ("aoi", -1.0), "age of information must be non-negative, got -1.0"),
+    (voi.AttributeScores, dict(proximity=0.5, timeliness=0.5, quality=0.5),
+     ("quality", 1.5), "quality score 1.5 is outside [0, 1]"),
+    (voi.ApplicationProfile, dict(name="p", timeliness=0.2, proximity=0.3, quality=0.5),
+     ("quality", 0.6), "weights sum to 1.1, expected 1"),
+    (scheduler.PerceptionRecord,
+     dict(id="r", source_vehicle="v", generated_at=0.0, object_distance=1.0,
+          temporal=voi.STATIC, sensor=voi.SENSORS["low"], mode=voi.PROCESSED),
+     ("object_distance", -1.0), "object distance must be non-negative, got -1.0"),
+    (scheduler.ReceiverView, dict(receiver_id="a", distance=1.0, scenario=voi.URBAN),
+     ("distance", -1.0), "receiver distance must be non-negative, got -1.0"),
+    (scheduler.SchedulerConfig,
+     dict(profile=voi.SAFETY, threshold=0.5, now=0.0, params=voi.DEFAULT_LOGISTIC),
+     ("threshold", 1.5), "threshold must be in [0, 1], got 1.5"),
+    (sweep.SweepSeries, dict(zip(sweep.SweepSeries._fields, _SERIES)),
+     ("label", "a,b\nc"), "field 'label' must not hold a comma, quote or line break, got \"a,b\\nc\""),
+    (sweep.SweepSpec,
+     dict(variable="distance", start=0.0, stop=10.0, step=1.0, series=(_SERIES,),
+          obs_grid=None, name="custom", notes=()),
+     ("step", 0.0), "step must be positive, got 0.0"),
+]
+
+
+@pytest.mark.parametrize("cls, fields, bad, message", CASES, ids=[case[0].__name__ for case in CASES])
+def test_every_construction_path_runs_the_checks(cls, fields, bad, message):
+    good = cls(**fields)
+    assert cls(*fields.values()) == good == cls._make(fields.values())
+    assert good._replace() == good and pickle.loads(pickle.dumps(good)) == good
+    name, value = bad
+    broken = dict(fields, **{name: value})
+    for build in (
+        lambda: cls(*broken.values()),
+        lambda: cls(**broken),
+        lambda: cls._make(broken.values()),
+        lambda: good._replace(**{name: value}),
+    ):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+    with pytest.raises(AttributeError):
+        setattr(good, name, value)
+
+
+def test_matrix_and_weights_are_stored_as_float_tuples():
+    matrix = ahp.ComparisonMatrix(["a", "b"], [[1, 2], [0.5, 1]])
+    for built in (matrix, matrix._replace(entries=[[1, 4], [0.25, 1]])):
+        assert type(built.labels) is tuple and type(built.entries) is tuple
+        assert all(type(row) is tuple and all(type(v) is float for v in row) for row in built.entries)
+    assert matrix.entries == ((1.0, 2.0), (0.5, 1.0))
+    solution = ahp.EigenSolution(2, [1, 0])
+    assert solution.weights == (1.0, 0.0) and all(type(w) is float for w in solution.weights)
+
+
+def test_derived_fields_are_not_arguments_and_follow_replace():
+    sensor = voi.SensorModel(1.2, 70.0, 640.0)
+    assert sensor.focal == voi.focal_distance(640.0, 70.0)
+    with pytest.raises(TypeError):
+        voi.SensorModel(1.2, 70.0, 640.0, focal=1.0)
+    with pytest.raises(TypeError):
+        voi.SensorModel._make(sensor)  # _make takes the arguments, not the derived field
+    with pytest.raises(ValueError, match="focal"):
+        sensor._replace(focal=1.0)
+    assert sensor._replace(resolution=4096.0).focal == voi.SENSORS["high"].focal
+
+    spec = sweep.figure_preset("fig2a")
+    assert spec.points == 51 == len(spec.grid())
+    with pytest.raises(TypeError):
+        sweep.SweepSpec(**spec._asdict())
+    with pytest.raises(ValueError, match="points"):
+        spec._replace(points=3)
+    finer = spec._replace(step=5.0)
+    assert finer.points == 101 == len(finer.grid())
+
+
+def test_equal_values_compare_and_hash_equal():
+    again = voi.Scenario.from_speed_limit("urban", 12.0)
+    assert again == voi.URBAN and hash(again) == hash(voi.URBAN)
+    assert {voi.URBAN: "urban"}[again] == "urban"
+    assert voi.SensorModel(1.2, 70.0, 1280.0) == voi.SENSORS["medium"]
+    assert sweep.figure_preset("fig3a") == sweep.figure_preset("fig3a")
+    assert len({sweep.figure_preset("fig4"), sweep.figure_preset("fig4")}) == 1
