@@ -1,10 +1,10 @@
 """What voinet's checked value types share.
 
-Each value type is a NamedTuple of its fields, subclassed by the public
-type, whose ``__new__`` checks (and may normalise or derive) the fields.
-namedtuple's own ``_make``, which its ``_replace`` calls, builds the tuple
-without ``__new__``; ``Checked`` sends both through ``__new__``, so no way
-of constructing a value skips its checks. ``check_csv_text`` is the one
+Each value type is one class statement, ``class T(Checked, namedtuple("T",
+"a b c"))``, whose ``__new__`` checks (and may normalise or derive) the
+fields. namedtuple's own ``_make``, which its ``_replace`` calls, builds the
+tuple without ``__new__``; ``Checked`` sends both through ``__new__``, so no
+way of constructing a value skips its checks. ``check_csv_text`` is the one
 rule for text that a CSV prints unquoted: record and receiver ids, and
 sweep series labels.
 """
@@ -19,7 +19,7 @@ _CSV_SPECIAL = re.compile('[,"\r\n]')
 
 
 class Checked:
-    """Mixin, listed before the fields NamedTuple, for a type that checks in ``__new__``.
+    """Mixin, listed before the namedtuple base, for a type that checks in ``__new__``.
 
     The last ``_derived`` fields are computed by ``__new__``, not passed to
     it: ``_make`` takes the other fields, and ``_replace`` refuses the
@@ -39,6 +39,8 @@ class Checked:
         if changes:
             raise ValueError(f"Got unexpected field names: {list(changes)!r}")
         return result
+
+    __replace__ = _replace  # copy.replace (3.13); namedtuple's own skips __new__
 
     def __getnewargs__(self) -> tuple:  # copy and pickle rebuild through __new__
         return tuple(self)[: len(self) - self._derived]

@@ -9,6 +9,7 @@ consistency ratio gates the quality of the chosen scores.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from typing import Mapping, NamedTuple, Sequence
 
 from ._checked import Checked
@@ -38,12 +39,7 @@ RANDOM_INDEX: dict[int, float] = {
 CONSISTENCY_LIMIT = 0.1
 
 
-class _MatrixFields(NamedTuple):
-    labels: tuple[str, ...]
-    entries: tuple[tuple[float, ...], ...]
-
-
-class ComparisonMatrix(Checked, _MatrixFields):
+class ComparisonMatrix(Checked, namedtuple("ComparisonMatrix", "labels entries")):
     """Positive reciprocal matrix of pairwise attribute scores (an immutable tuple).
 
     ``labels`` is stored as a tuple, and ``entries`` is taken from any nested
@@ -91,12 +87,7 @@ class ComparisonMatrix(Checked, _MatrixFields):
         return len(self.labels)
 
 
-class _EigenFields(NamedTuple):
-    lambda_max: float
-    weights: tuple[float, ...]
-
-
-class EigenSolution(Checked, _EigenFields):
+class EigenSolution(Checked, namedtuple("EigenSolution", "lambda_max weights")):
     """Dominant eigenvalue and the unit-sum normalized eigenvector, as floats."""
 
     __slots__ = ()
@@ -135,8 +126,6 @@ def build_matrix(
             or unknown, or fewer than 2 labels are given.
     """
     labels = tuple(labels)
-    if len(labels) < 2:
-        raise ValueError(f"need at least 2 attributes, got {len(labels)}")
     index = {label: i for i, label in enumerate(labels)}
     if len(index) != len(labels):
         raise ValueError(f"duplicate attribute labels in {labels}")

@@ -148,7 +148,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         spec = cfgmod.load_sweep_spec(args.spec, cfg)
     curves = run_sweep(spec, cfg.logistic)
     out_path = args.out or f"{spec.name}.csv"
-    with open(out_path, "w", newline="") as fh:
+    with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(curves.to_csv())
     print(f"wrote {len(curves.xs)} rows x {len(spec.series)} series to {out_path}")
     return 0
@@ -163,6 +163,11 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         raise ValueError("no threshold given; pass --threshold or set defaults.threshold in the config")
     if args.now is not None:
         now = args.now
+        late = next((r for r in records if r.generated_at > now), None)
+        if late is not None:  # rank checks this too, but cannot name the file
+            raise ValueError(
+                f"{args.records}: record {late.id!r} has t0 {late.generated_at}, after --now {now}"
+            )
     else:
         now = max((r.generated_at for r in records), default=0.0)
     sched_cfg = SchedulerConfig(
@@ -184,7 +189,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         )
     body = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", newline="") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(body)
     else:
         sys.stdout.write(body)

@@ -91,7 +91,7 @@ def parse_config(data: Any) -> ConfigDocument:
 
 def read_json(path: str) -> Any:
     """Parse one JSON file, naming the file if it is not valid JSON."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
@@ -257,7 +257,7 @@ _decode = json.JSONDecoder().raw_decode
 def _read_jsonl(path: str, kind: str, parse: Callable[[dict], _T]) -> list[_T]:
     """parse(obj) for each non-blank line's JSON object, each with a new id; errors name file:line."""
     items, first_line = [], {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if line.isspace():
                 continue

@@ -13,6 +13,7 @@ always produce the same ordering.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from operator import attrgetter
 from typing import NamedTuple, Sequence
 
@@ -20,17 +21,9 @@ from . import voi
 from ._checked import Checked
 
 
-class _RecordFields(NamedTuple):
-    id: str
-    source_vehicle: str
-    generated_at: float
-    object_distance: float
-    temporal: voi.TemporalClass
-    sensor: voi.SensorModel
-    mode: str
-
-
-class PerceptionRecord(Checked, _RecordFields):
+class PerceptionRecord(Checked, namedtuple(
+    "PerceptionRecord", "id source_vehicle generated_at object_distance temporal sensor mode",
+)):
     """A sensed observation held by one vehicle, awaiting a send decision (an immutable tuple)."""
 
     __slots__ = ()
@@ -43,13 +36,7 @@ class PerceptionRecord(Checked, _RecordFields):
         return tuple.__new__(cls, (id, source_vehicle, generated_at, object_distance, temporal, sensor, mode))
 
 
-class _ReceiverFields(NamedTuple):
-    receiver_id: str
-    distance: float
-    scenario: voi.Scenario
-
-
-class ReceiverView(Checked, _ReceiverFields):
+class ReceiverView(Checked, namedtuple("ReceiverView", "receiver_id distance scenario")):
     """A candidate receiver: its id, distance from the sender, and scenario."""
 
     __slots__ = ()
@@ -60,14 +47,7 @@ class ReceiverView(Checked, _ReceiverFields):
         return tuple.__new__(cls, (receiver_id, distance, scenario))
 
 
-class _ConfigFields(NamedTuple):
-    profile: voi.ApplicationProfile
-    threshold: float
-    now: float
-    params: voi.LogisticParams
-
-
-class SchedulerConfig(Checked, _ConfigFields):
+class SchedulerConfig(Checked, namedtuple("SchedulerConfig", "profile threshold now params")):
     """Profile, send threshold in [0, 1], and the evaluation instant."""
 
     __slots__ = ()

@@ -9,6 +9,7 @@ tests; `run_sweep` also accepts hand-built specs.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from io import StringIO
 from typing import NamedTuple
 
@@ -48,19 +49,6 @@ RESOLUTION_NOTE = "resolution pinned to 1280 px (the nominal 1080 px does not re
 FIG5A_NOTE = "temporal decay pinned to 0.5 (neither 0 nor 10 reproduces the reference curves)"
 
 
-class _SeriesFields(NamedTuple):
-    label: str
-    profile: ApplicationProfile | None
-    scenario: Scenario | None
-    temporal: TemporalClass | None
-    sensor: SensorModel | None
-    mode: str
-    attribute: str
-    aoi: float | None
-    distance: float | None
-    obs_distance: float | None
-
-
 _REQUIRED = {
     "overall": ("profile", "scenario", "temporal", "sensor"),
     "proximity": ("scenario",),
@@ -69,7 +57,9 @@ _REQUIRED = {
 }
 
 
-class SweepSeries(Checked, _SeriesFields):
+class SweepSeries(Checked, namedtuple(
+    "SweepSeries", "label profile scenario temporal sensor mode attribute aoi distance obs_distance",
+)):
     """One labeled curve: which quantity to evaluate, and the fixed context.
 
     For distance sweeps, aoi holds the fixed age; for aoi sweeps,
@@ -102,19 +92,7 @@ class SweepSeries(Checked, _SeriesFields):
         return self
 
 
-class _SpecFields(NamedTuple):
-    variable: str
-    start: float
-    stop: float
-    step: float
-    series: tuple[SweepSeries, ...]
-    obs_grid: float | None
-    name: str
-    notes: tuple[str, ...]
-    points: int
-
-
-class SweepSpec(Checked, _SpecFields):
+class SweepSpec(Checked, namedtuple("SweepSpec", "variable start stop step series obs_grid name notes points")):
     """Grid plus series definitions.
 
     obs_grid, when set, snaps the derived observation distance of

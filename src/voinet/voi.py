@@ -12,7 +12,8 @@ line-of-sight probability at the observation distance.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from collections import namedtuple
+from typing import Callable
 
 from . import ahp
 from ._checked import Checked
@@ -25,21 +26,14 @@ MODES = (PROCESSED, NON_PROCESSED)
 ATTRIBUTES = ("timeliness", "proximity", "quality")
 
 
-class _LogisticFields(NamedTuple):
-    upper: float
-    lower: float
-    offset: float
-    scale: float
-    decay: float
-    shape: float
-
-
-class LogisticParams(Checked, _LogisticFields):
+class LogisticParams(Checked, namedtuple("LogisticParams", "upper lower offset scale decay shape")):
     """Parameters of the generalized logistic proximity curve.
 
     upper is the score well inside the safety distance, lower the limit at
     large distance; offset and scale shape the denominator, decay (1/m)
-    sets how fast the curve falls, shape the asymmetry exponent.
+    sets how fast the curve falls, shape the asymmetry exponent. The curve
+    is monotone in distance, between upper and its far-distance limit
+    upper + (lower - upper) * offset**(-1/shape); both must lie in [0, 1].
     """
 
     __slots__ = ()
@@ -55,6 +49,13 @@ class LogisticParams(Checked, _LogisticFields):
         for name, value in zip(cls._fields[2:], values[2:]):  # offset, scale, decay, shape
             if value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
+        try:
+            stretch = offset ** (-1.0 / shape)
+        except OverflowError:  # an offset below 1 with a tiny shape
+            stretch = math.inf
+        for name, value in (("upper", upper), ("far-distance limit", upper + (lower - upper) * stretch)):
+            if not (0.0 <= value <= 1.0):
+                raise ValueError(f"logistic {name} must lie in [0, 1], got {value}")
         return tuple.__new__(cls, values)
 
 
@@ -95,14 +96,7 @@ def _highway_los(distance: float) -> float:
 _BUILTIN_LOS = {"urban": _urban_los, "highway": _highway_los}
 
 
-class _ScenarioFields(NamedTuple):
-    kind: str
-    v_max: float
-    safety_distance: float
-    los_model: Callable[[float], float] | None
-
-
-class Scenario(Checked, _ScenarioFields):
+class Scenario(Checked, namedtuple("Scenario", "kind v_max safety_distance los_model")):
     """Road environment: scenario kind, speed limit, safety distance.
 
     los_model, when given, replaces the built-in line-of-sight
@@ -139,12 +133,7 @@ HIGHWAY = Scenario("highway", v_max=36.0, safety_distance=72.0)
 SCENARIOS = {"urban": URBAN, "highway": HIGHWAY}
 
 
-class _TemporalFields(NamedTuple):
-    name: str
-    decay: float
-
-
-class TemporalClass(Checked, _TemporalFields):
+class TemporalClass(Checked, namedtuple("TemporalClass", "name decay")):
     """How quickly an observation loses value: decay rate in 1/s."""
 
     __slots__ = ()
@@ -169,14 +158,7 @@ def temporal_from_decay(decay: float) -> TemporalClass:
     return TemporalClass("custom", decay)
 
 
-class _SensorFields(NamedTuple):
-    height: float
-    fov: float
-    resolution: float
-    focal: float
-
-
-class SensorModel(Checked, _SensorFields):
+class SensorModel(Checked, namedtuple("SensorModel", "height fov resolution focal")):
     """Camera geometry: mounting height (m), field of view (deg), resolution (px).
 
     focal, the focal distance in pixels, is derived from resolution and fov
@@ -199,17 +181,9 @@ SENSORS = {
 }
 
 
-class _ContextFields(NamedTuple):
-    distance: float
-    aoi: float
-    scenario: Scenario
-    temporal: TemporalClass
-    sensor: SensorModel
-    mode: str
-    obs_distance: float | None
-
-
-class AssessmentContext(Checked, _ContextFields):
+class AssessmentContext(Checked, namedtuple(
+    "AssessmentContext", "distance aoi scenario temporal sensor mode obs_distance",
+)):
     """One evaluation point for the conditional scores.
 
     obs_distance is the sensor-to-observation distance; when omitted it
@@ -239,13 +213,7 @@ class AssessmentContext(Checked, _ContextFields):
         return self.distance / 2.0
 
 
-class _ScoreFields(NamedTuple):
-    proximity: float
-    timeliness: float
-    quality: float
-
-
-class AttributeScores(Checked, _ScoreFields):
+class AttributeScores(Checked, namedtuple("AttributeScores", "proximity timeliness quality")):
     """The three conditional scores, each in [0, 1]."""
 
     __slots__ = ()
@@ -263,14 +231,7 @@ def check_score(name: str, value: float) -> None:
         raise ValueError(f"{name} score {value!r} is outside [0, 1]")
 
 
-class _ProfileFields(NamedTuple):
-    name: str
-    timeliness: float
-    proximity: float
-    quality: float
-
-
-class ApplicationProfile(Checked, _ProfileFields):
+class ApplicationProfile(Checked, namedtuple("ApplicationProfile", "name timeliness proximity quality")):
     """Named attribute weights, constructed by attribute name.
 
     Weight vectors are ordered (timeliness, proximity, quality); the
@@ -371,9 +332,12 @@ def proximity_voi(
     """
     if distance < 0:
         raise ValueError(f"distance must be non-negative, got {distance}")
-    denominator = (
-        params.offset + params.scale * math.exp(-params.decay * (distance - safety_distance))
-    ) ** (1.0 / params.shape)
+    try:
+        denominator = (
+            params.offset + params.scale * math.exp(-params.decay * (distance - safety_distance))
+        ) ** (1.0 / params.shape)
+    except OverflowError:  # the denominator exceeds any float: the score is at its limit
+        return params.upper
     return params.upper + (params.lower - params.upper) / denominator
 
 

@@ -1,6 +1,10 @@
 import copy
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -489,6 +493,18 @@ def test_schedule_input_errors(capsys, tmp_path):
         assert code == 1 and out == ""
         assert message in err and "Traceback" not in err
 
+    rec, rcv = schedule_files(
+        tmp_path,
+        [base_record("early", 10.0, t0=0.5), base_record("late", 10.0, t0=5.0)],
+        [{"id": "a", "distance": 100.0, "scenario": "urban"}],
+    )
+    code, out, err = run_cli(
+        capsys, "schedule", "--records", rec, "--receivers", rcv,
+        "--profile", "safety", "--threshold", "0.5", "--now", "1",
+    )
+    assert code == 1 and out == ""
+    assert err == f"error: {rec}: record 'late' has t0 5.0, after --now 1.0\n"
+
 
 def golden_batch(seed=9, records=300, receivers=12):
     """A seeded batch that reaches every loader branch: 10% clones, class
@@ -551,6 +567,65 @@ def test_schedule_rejects_a_nan_weight(capsys, tmp_path):
     )
     assert code == 1 and out == ""
     assert "profile 'p': weights must be finite" in err
+
+
+def test_logistic_overflow_gives_the_limit_not_a_traceback(capsys, tmp_path):
+    rec, rcv = schedule_files(
+        tmp_path, [base_record("r", 10.0)], [{"id": "a", "distance": 0.0, "scenario": "urban"}]
+    )
+    for logistic in ({"decay": 1000}, {"shape": 0.001}):  # math.exp and ** overflow a float
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"defaults": {"logistic": logistic}}))
+        code, out, err = run_cli(
+            capsys, "assess", "--config", str(config), "--profile", "safety", "--distance", "0",
+        )
+        assert (code, err) == (0, "") and "proximity=1.000000" in out
+        code, _, err = run_cli(
+            capsys, "sweep", "--figure", "fig2a", "--config", str(config), "--out", str(tmp_path / "f.csv"),
+        )
+        assert (code, err) == (0, "")
+        code, out, err = run_cli(
+            capsys, "schedule", "--config", str(config), "--records", rec, "--receivers", rcv,
+            "--profile", "safety", "--threshold", "0.5",
+        )
+        assert (code, err) == (0, "") and out.endswith("transmit=1 cancelled=0\n")
+
+
+def test_logistic_params_outside_the_unit_range_are_located(capsys, tmp_path):
+    config = tmp_path / "c.json"
+    out_path = tmp_path / "never.csv"
+    for logistic, why in (
+        ({"lower": -1}, "logistic far-distance limit must lie in [0, 1], got -1.0"),
+        ({"upper": 2}, "logistic upper must lie in [0, 1], got 2.0"),
+        ({"offset": 0.1, "shape": 0.001}, "logistic far-distance limit must lie in [0, 1], got -inf"),
+    ):
+        config.write_text(json.dumps({"defaults": {"logistic": logistic}}))
+        code, out, err = run_cli(
+            capsys, "sweep", "--figure", "fig2a", "--config", str(config), "--out", str(out_path),
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {config}: defaults.logistic: {why}\n"
+        assert not out_path.exists()
+
+
+def test_files_are_read_and_written_as_utf8_under_the_c_locale(tmp_path):
+    rec, rcv = schedule_files(tmp_path, [], [{"id": "ü", "distance": 50.0, "scenario": "urban"}])
+    record = json.dumps(base_record("café", 10.0), ensure_ascii=False)  # raw UTF-8, not \u00e9
+    Path(rec).write_text(record + "\n", encoding="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(
+        os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    )
+    out_path = tmp_path / "decisions.csv"
+    run = subprocess.run(
+        [sys.executable, "-m", "voinet.cli", "schedule", "--records", rec, "--receivers", rcv,
+         "--profile", "safety", "--threshold", "0.5", "--now", "0", "--out", str(out_path)],
+        env=env, capture_output=True, text=True,
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    rows = out_path.read_text(encoding="utf-8").splitlines()
+    assert rows[1].startswith("1,café,ü,") and rows[1].endswith(",transmit")
 
 
 def test_presets_listing(capsys):

@@ -89,9 +89,9 @@ def test_rank_rejects_duplicates_and_empty_receivers():
 def test_rank_keeps_the_per_pair_checks():
     with pytest.raises(ValueError, match="after the scheduler clock"):
         scheduler.rank([make_record(t0=5.0)], [urban_view()], make_cfg(now=4.0))
-    cfg = scheduler.SchedulerConfig(
-        profile=voi.SAFETY, threshold=0.5, now=0.1, params=voi.LogisticParams(upper=1.5)
-    )
+    # LogisticParams rejects upper=1.5 itself; built unchecked, it reaches rank's own check.
+    unchecked = tuple.__new__(voi.LogisticParams, (1.5, *voi.DEFAULT_LOGISTIC[1:]))
+    cfg = scheduler.SchedulerConfig(profile=voi.SAFETY, threshold=0.5, now=0.1, params=unchecked)
     with pytest.raises(ValueError, match=r"proximity score 1\.49\d+ is outside \[0, 1\]"):
         scheduler.rank([make_record()], [urban_view(d=0.0)], cfg)
     stale = make_record(temporal=voi.TemporalClass("broken", float("nan")))

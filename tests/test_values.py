@@ -1,5 +1,6 @@
 """The checked value types: immutable tuples whose checks run however they are built."""
 
+import copy
 import pickle
 
 import pytest
@@ -106,3 +107,16 @@ def test_equal_values_compare_and_hash_equal():
     assert voi.SensorModel(1.2, 70.0, 1280.0) == voi.SENSORS["medium"]
     assert sweep.figure_preset("fig3a") == sweep.figure_preset("fig3a")
     assert len({sweep.figure_preset("fig4"), sweep.figure_preset("fig4")}) == 1
+
+
+@pytest.mark.skipif(not hasattr(copy, "replace"), reason="copy.replace is new in Python 3.13")
+def test_copy_replace_runs_the_checks_and_recomputes_derived_fields():
+    assert copy.replace(voi.SENSORS["medium"], resolution=4096.0) == voi.SENSORS["high"]
+    finer = copy.replace(sweep.figure_preset("fig2a"), step=5.0)
+    assert finer.points == 101 == len(finer.grid())
+    with pytest.raises(ValueError, match="focal"):
+        copy.replace(voi.SENSORS["medium"], focal=1.0)
+    for cls, fields, (name, value), message in CASES:
+        with pytest.raises(ValueError) as info:
+            copy.replace(cls(**fields), **{name: value})
+        assert str(info.value) == message

@@ -84,6 +84,42 @@ def test_logistic_params_validation():
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match=f"logistic {name} must be finite"):
                 voi.LogisticParams(**{name: bad})
+    # The curve is monotone, from upper to upper + (lower - upper) * offset**(-1/shape).
+    for fields, got in (
+        (dict(upper=1.5), "logistic upper must lie in [0, 1], got 1.5"),
+        (dict(upper=-0.5, lower=-0.5), "logistic upper must lie in [0, 1], got -0.5"),
+        (dict(lower=-1.0), "logistic far-distance limit must lie in [0, 1], got -1.0"),
+        (dict(lower=2.0), "logistic far-distance limit must lie in [0, 1], got 2.0"),
+        (dict(offset=0.5), "logistic far-distance limit must lie in [0, 1], got -31.0"),
+        (dict(offset=0.1, shape=0.001), "logistic far-distance limit must lie in [0, 1], got -inf"),
+    ):
+        with pytest.raises(ValueError) as info:
+            voi.LogisticParams(**fields)
+        assert str(info.value) == got
+    assert voi.LogisticParams(upper=0.8, lower=0.2, offset=2.0).lower == 0.2
+
+
+def test_proximity_overflow_gives_the_upper_limit():
+    # exp and ** both overflow a float near the sender; the curve is then at upper.
+    assert voi.proximity_voi(0.0, 24.0, voi.LogisticParams(decay=1000.0)) == 1.0
+    assert voi.proximity_voi(0.0, 24.0, voi.LogisticParams(shape=0.001)) == 1.0
+    assert voi.proximity_voi(0.0, 24.0, voi.LogisticParams(upper=0.75, lower=0.5, decay=1000.0)) == 0.75
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    upper=st.floats(0.0, 1.0), lower=st.floats(0.0, 1.0), offset=st.floats(0.5, 50.0),
+    scale=st.floats(1e-3, 1e3), decay=st.floats(1e-4, 1e3), shape=st.floats(1e-3, 10.0),
+    distance=st.floats(0.0, 1e5), safety=st.floats(1.0, 500.0),
+)
+def test_every_accepted_logistic_curve_stays_in_unit_range(
+    upper, lower, offset, scale, decay, shape, distance, safety
+):
+    try:
+        params = voi.LogisticParams(upper, lower, offset, scale, decay, shape)
+    except ValueError:
+        return
+    assert 0.0 <= voi.proximity_voi(distance, safety, params) <= 1.0
 
 
 def test_custom_logistic_params_change_the_curve():
