@@ -16,7 +16,6 @@ from .ahp import (
     ComparisonMatrix,
     ConsistencyReport,
     EigenSolution,
-    build_matrix,
     consistency,
     principal_eigenvector,
 )

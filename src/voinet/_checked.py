@@ -5,8 +5,8 @@ Each value type is one class statement, ``class T(Checked, namedtuple("T",
 fields. namedtuple's own ``_make``, which its ``_replace`` calls, builds the
 tuple without ``__new__``; ``Checked`` sends both through ``__new__``, so no
 way of constructing a value skips its checks. ``check_csv_text`` is the one
-rule for text that a CSV prints unquoted: record and receiver ids, and
-sweep series labels.
+rule for text that a CSV prints: record and receiver ids and sweep series
+labels, unquoted, and the names and notes in a sweep CSV's comment lines.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ import json
 import re
 from typing import Any, Iterable
 
-_CSV_SPECIAL = re.compile('[,"\r\n]')
+_CSV_SPECIAL = re.compile('[,"\r\n\ud800-\udfff]')
+_COMMENT_SPECIAL = re.compile('[\r\n\ud800-\udfff]')
 
 
 class Checked:
@@ -46,8 +47,18 @@ class Checked:
         return tuple(self)[: len(self) - self._derived]
 
 
-def check_csv_text(name: str, value: str) -> None:
-    """Raise if a text field printed unquoted in a CSV holds a comma, quote or line break."""
-    if _CSV_SPECIAL.search(value):
-        raise ValueError(f"field {name!r} must not hold a comma, quote or line break, "
-                         f"got {json.dumps(value)}")
+def check_csv_text(name: str, value: str, comment: bool = False) -> None:
+    """Raise if text a CSV prints could break its rows or its encoding.
+
+    A field printed unquoted must hold no comma, quote or line break; text in a
+    ``#`` comment line (comment=True), no line break. Neither may hold a lone
+    surrogate, which UTF-8 cannot encode.
+    """
+    found = (_COMMENT_SPECIAL if comment else _CSV_SPECIAL).search(value)
+    if found is None:
+        return
+    if found.group() >= "\ud800":
+        why = "a lone surrogate"
+    else:
+        why = "a line break" if comment else "a comma, quote or line break"
+    raise ValueError(f"field {name!r} must not hold {why}, got {json.dumps(value)}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from ._checked import Checked
 
@@ -108,47 +108,6 @@ class ConsistencyReport(NamedTuple):
     random_index: float
     consistency_ratio: float
     acceptable: bool
-
-
-def build_matrix(
-    labels: Sequence[str], upper_triangle: Mapping[tuple[str, str], float]
-) -> ComparisonMatrix:
-    """Build a comparison matrix from its upper-triangle scores.
-
-    Args:
-        labels: attribute names, in matrix row order.
-        upper_triangle: score for each pair (labels[j], labels[k]) with
-            j < k; the diagonal is fixed at 1 and the lower triangle is
-            filled with reciprocals.
-
-    Raises:
-        ValueError: if a score is off the Saaty scale, a pair is missing
-            or unknown, or fewer than 2 labels are given.
-    """
-    labels = tuple(labels)
-    index = {label: i for i, label in enumerate(labels)}
-    if len(index) != len(labels):
-        raise ValueError(f"duplicate attribute labels in {labels}")
-    n = len(labels)
-    entries = [[1.0 if j == k else 0.0 for k in range(n)] for j in range(n)]
-    seen = set()
-    for (a, b), score in upper_triangle.items():
-        if a not in index or b not in index:
-            raise ValueError(f"unknown attribute pair ({a}, {b}); labels are {labels}")
-        j, k = index[a], index[b]
-        if j >= k:
-            raise ValueError(f"pair ({a}, {b}) is not in the upper triangle; list it as ({b}, {a})")
-        if not (SAATY_MIN <= score <= SAATY_MAX):
-            raise ValueError(
-                f"score {score:g} for pair ({a}, {b}) is outside the Saaty range [1/9, 9]"
-            )
-        entries[j][k] = score
-        entries[k][j] = 1.0 / score
-        seen.add((j, k))
-    missing = [(labels[j], labels[k]) for j in range(n) for k in range(j + 1, n) if (j, k) not in seen]
-    if missing:
-        raise ValueError(f"missing comparison scores for pairs {missing}")
-    return ComparisonMatrix(labels, entries)
 
 
 def principal_eigenvector(m: ComparisonMatrix) -> EigenSolution:

@@ -94,13 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_weights(args: argparse.Namespace) -> int:
     if args.profile is not None:
-        try:
-            matrix = BUILTIN_MATRICES[args.profile]()
-        except KeyError:
-            raise ValueError(
-                f"no built-in comparison matrix named {args.profile!r}; "
-                f"known: {sorted(BUILTIN_MATRICES)} (or pass --matrix)"
-            ) from None
+        matrix = cfgmod.resolve_name(BUILTIN_MATRICES, args.profile, "comparison matrix")
         source = args.profile
     else:
         matrix = cfgmod.load_matrix(args.matrix)
@@ -161,6 +155,8 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     threshold = args.threshold if args.threshold is not None else cfg.threshold
     if threshold is None:
         raise ValueError("no threshold given; pass --threshold or set defaults.threshold in the config")
+    if not receivers:  # rank checks this too, but cannot name the file
+        raise ValueError(f"{args.receivers}: at least one receiver is required")
     if args.now is not None:
         now = args.now
         late = next((r for r in records if r.generated_at > now), None)
@@ -178,11 +174,11 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     )
     ranked = rank(records, receivers, sched_cfg)
     transmit, cancelled = filter_broadcast(ranked, sched_cfg)
-    passing = {e.record_id for e in transmit}
+    sent = len(transmit)  # ranked falls in value, so transmit is its prefix
 
     lines = ["rank,record_id,best_receiver,best_value,decision"]
     for position, entry in enumerate(ranked, 1):
-        decision = "transmit" if entry.record_id in passing else "cancel"
+        decision = "transmit" if position <= sent else "cancel"
         lines.append(
             f"{position},{entry.record_id},{entry.best_receiver},"
             f"{entry.best_value:.6g},{decision}"
@@ -191,7 +187,10 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(body)
-    else:
+    elif hasattr(sys.stdout, "buffer"):  # UTF-8, as --out writes, whatever the locale
+        sys.stdout.flush()
+        sys.stdout.buffer.write(body.encode("utf-8"))
+    else:  # a text-only stream, such as io.StringIO
         sys.stdout.write(body)
     print(f"transmit={len(transmit)} cancelled={len(cancelled)}")
     return 0

@@ -96,6 +96,26 @@ def read_json(path: str) -> Any:
             return json.load(fh)
         except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
             raise ValueError(f"{path}: invalid JSON: {exc}") from None
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
+
+
+def _not_utf8(path: str) -> ValueError:
+    """Locate a file's first undecodable byte, counting lines as text mode does.
+
+    Only the error path calls this: it reads the file again, as bytes, because
+    a text-mode decode error gives an offset in the chunk it was decoding.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        line = head.count("\n") + 1
+        column = len(head) - head.rfind("\n")
+        return ValueError(f"{path}:{line}: not UTF-8 text: {exc.reason} at column {column}")
+    return ValueError(f"{path}: not UTF-8 text")  # the file changed since the failed read
 
 
 def load_config(path: str | None) -> ConfigDocument:
@@ -245,9 +265,7 @@ def parse_temporal(obj: Mapping[str, Any]):
     """The object's "temporal" field: a class name or a decay rate."""
     raw = _require(obj, "temporal")
     if isinstance(raw, str):
-        if raw in TEMPORAL_CLASSES:
-            return TEMPORAL_CLASSES[raw]
-        raise ValueError(f"unknown temporal class {raw!r}; known: {sorted(TEMPORAL_CLASSES)}")
+        return resolve_name(TEMPORAL_CLASSES, raw, "temporal class")
     return _at("field 'temporal'", temporal_from_decay, _number(obj, "temporal"))
 
 
@@ -257,31 +275,34 @@ _decode = json.JSONDecoder().raw_decode
 def _read_jsonl(path: str, kind: str, parse: Callable[[dict], _T]) -> list[_T]:
     """parse(obj) for each non-blank line's JSON object, each with a new id; errors name file:line."""
     items, first_line = [], {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if line.isspace():
-                continue
-            text = line.strip(" \t\n\r")  # JSON's whitespace; str.strip also drops \x0c and \xa0
-            try:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if line.isspace():
+                    continue
+                text = line.strip(" \t\n\r")  # JSON's whitespace; str.strip also drops \x0c and \xa0
                 try:
-                    obj, end = _decode(text)
-                except json.JSONDecodeError:
-                    end = -1
-                except RecursionError as exc:  # nested too deep
-                    raise ValueError(f"invalid JSON: {exc}") from None
-                if end != len(text):
-                    obj = json.loads(line)  # raises json's own message, columns counted in line
-                if not isinstance(obj, dict):
-                    raise ValueError("expected a JSON object per line")
-                items.append(parse(obj))
-                item_id = obj["id"]  # parse has read it as a JSON string
-                check_csv_text("id", item_id)  # the schedule CSV prints ids unquoted
-                first = first_line.setdefault(item_id, lineno)
-                if first != lineno:
-                    raise ValueError(f"duplicate {kind} id {item_id!r} (first on line {first})")
-            except ValueError as exc:
-                why = f"invalid JSON: {exc}" if isinstance(exc, json.JSONDecodeError) else exc
-                raise ValueError(f"{path}:{lineno}: {why}") from None
+                    try:
+                        obj, end = _decode(text)
+                    except json.JSONDecodeError:
+                        end = -1
+                    except RecursionError as exc:  # nested too deep
+                        raise ValueError(f"invalid JSON: {exc}") from None
+                    if end != len(text):
+                        obj = json.loads(line)  # raises json's own message, columns counted in line
+                    if not isinstance(obj, dict):
+                        raise ValueError("expected a JSON object per line")
+                    items.append(parse(obj))
+                    item_id = obj["id"]  # parse has read it as a JSON string
+                    check_csv_text("id", item_id)  # the schedule CSV prints ids unquoted
+                    first = first_line.setdefault(item_id, lineno)
+                    if first != lineno:
+                        raise ValueError(f"duplicate {kind} id {item_id!r} (first on line {first})")
+                except ValueError as exc:
+                    why = f"invalid JSON: {exc}" if isinstance(exc, json.JSONDecodeError) else exc
+                    raise ValueError(f"{path}:{lineno}: {why}") from None
+    except UnicodeDecodeError:  # raised by the line iterator, outside the per-line try
+        raise _not_utf8(path) from None
     return items
 
 

@@ -77,10 +77,16 @@ class SweepSeries(Checked, namedtuple(
         distance: float | None = None, obs_distance: float | None = None,
     ) -> SweepSeries:
         check_csv_text("label", label)
+        for field, value in (("profile", profile), ("scenario", scenario), ("temporal", temporal)):
+            if value is not None:  # its name (a scenario's kind) is printed in a "# series" line
+                check_csv_text(field, value[0], comment=True)
         if attribute not in ATTRIBUTE_CHOICES:
             raise ValueError(f"attribute must be one of {ATTRIBUTE_CHOICES}, got {attribute!r}")
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        for name, value in (("aoi", aoi), ("distance", distance), ("obs_distance", obs_distance)):
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
         self = tuple.__new__(
             cls, (label, profile, scenario, temporal, sensor, mode, attribute, aoi, distance, obs_distance)
         )
@@ -122,6 +128,8 @@ class SweepSpec(Checked, namedtuple("SweepSpec", "variable start stop step serie
             raise ValueError(f"start must be non-negative, got {start}")
         if not series:
             raise ValueError("at least one series is required")
+        for field, text in (("name", name), *(("notes", note) for note in notes)):
+            check_csv_text(field, text, comment=True)  # printed in "#" lines
         if obs_grid is not None and not (0.0 < obs_grid < math.inf):
             raise ValueError(f"obs_grid must be positive and finite, got {obs_grid}")
         labels = [s.label for s in series]
@@ -201,12 +209,17 @@ def _describe(series: SweepSeries) -> str:
     return " ".join(parts)
 
 
-def _observation_distance(spec: SweepSpec, series: SweepSeries, distance: float) -> float:
-    if series.obs_distance is not None:
+def _observation_distance(spec: SweepSpec, series: SweepSeries, distance: float) -> float | None:
+    """An overall series' obs_distance: its own, or half the distance snapped down to obs_grid.
+
+    None leaves the unsnapped half distance to AssessmentContext.
+    """
+    if series.obs_distance is not None or spec.obs_grid is None:
         return series.obs_distance
-    if spec.obs_grid is not None:
-        return spec.obs_grid * math.floor(distance / (2.0 * spec.obs_grid))
-    return distance / 2.0
+    cells = distance / (2.0 * spec.obs_grid)
+    if cells == math.inf:  # a grid too fine to count cells in: no snap
+        return None
+    return spec.obs_grid * math.floor(cells)
 
 
 def _evaluate(

@@ -171,7 +171,10 @@ class SensorModel(Checked, namedtuple("SensorModel", "height fov resolution foca
     def __new__(cls, height: float, fov: float, resolution: float) -> SensorModel:
         if height <= 0:
             raise ValueError(f"sensor height must be positive, got {height}")
-        return tuple.__new__(cls, (height, fov, resolution, focal_distance(resolution, fov)))
+        focal = focal_distance(resolution, fov)
+        if not height * focal > 0:  # quality divides by it; tiny factors underflow to 0
+            raise ValueError(f"sensor height * focal distance must be positive, got {height} * {focal}")
+        return tuple.__new__(cls, (height, fov, resolution, focal))
 
 
 SENSORS = {
@@ -264,7 +267,7 @@ class ApplicationProfile(Checked, namedtuple("ApplicationProfile", "name timelin
         return self.timeliness * timeliness + self.proximity * proximity + self.quality * quality
 
 
-# Converged eigenvector weights of safety_matrix() and traffic_matrix();
+# Converged eigenvector weights of BUILTIN_MATRICES (below);
 # the live derivation must agree with these within 1e-4 (tested).
 SAFETY = ApplicationProfile(
     "safety",
@@ -281,31 +284,20 @@ TRAFFIC = ApplicationProfile(
 PROFILES = {"safety": SAFETY, "traffic": TRAFFIC}
 
 
-def safety_matrix() -> ahp.ComparisonMatrix:
-    """Pairwise comparison matrix behind the safety profile."""
-    return ahp.build_matrix(
-        ATTRIBUTES,
-        {
-            ("timeliness", "proximity"): 1.0 / 7.0,
-            ("timeliness", "quality"): 1.0,
-            ("proximity", "quality"): 5.0,
-        },
-    )
-
-
-def traffic_matrix() -> ahp.ComparisonMatrix:
-    """Pairwise comparison matrix behind the traffic-management profile."""
-    return ahp.build_matrix(
-        ATTRIBUTES,
-        {
-            ("timeliness", "proximity"): 9.0,
-            ("timeliness", "quality"): 3.0,
-            ("proximity", "quality"): 1.0 / 7.0,
-        },
-    )
-
-
-BUILTIN_MATRICES = {"safety": safety_matrix, "traffic": traffic_matrix}
+# Pairwise comparison matrices behind the safety and traffic-management
+# profiles, rows ordered like ATTRIBUTES; ComparisonMatrix checks each at import.
+BUILTIN_MATRICES = {
+    "safety": ahp.ComparisonMatrix(ATTRIBUTES, (
+        (1.0, 1.0 / 7.0, 1.0),
+        (7.0, 1.0, 5.0),
+        (1.0, 1.0 / 5.0, 1.0),
+    )),
+    "traffic": ahp.ComparisonMatrix(ATTRIBUTES, (
+        (1.0, 9.0, 3.0),
+        (1.0 / 9.0, 1.0, 1.0 / 7.0),
+        (1.0 / 3.0, 7.0, 1.0),
+    )),
+}
 
 
 def profile_from_matrix(name: str, matrix: ahp.ComparisonMatrix) -> ApplicationProfile:
@@ -345,6 +337,8 @@ def timeliness_voi(aoi: float, temporal: TemporalClass) -> float:
     """Timeliness score: exponential decay of value with age."""
     if aoi < 0:
         raise ValueError(f"age of information must be non-negative, got {aoi}")
+    if temporal.decay == 0.0:  # no decay at any age; 0 * an infinite age is NaN
+        return 1.0
     return math.exp(-temporal.decay * aoi)
 
 

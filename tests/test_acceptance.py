@@ -28,8 +28,8 @@ def preset_column(name, label):
 
 
 def test_criterion_1_ahp_weights():
-    safety = ahp.principal_eigenvector(voi.safety_matrix())
-    traffic = ahp.principal_eigenvector(voi.traffic_matrix())
+    safety = ahp.principal_eigenvector(voi.BUILTIN_MATRICES["safety"])
+    traffic = ahp.principal_eigenvector(voi.BUILTIN_MATRICES["traffic"])
     assert safety.weights == pytest.approx((0.1194, 0.7471, 0.1336), abs=1e-4)
     assert traffic.weights == pytest.approx((0.6554, 0.0549, 0.2897), abs=1e-4)
     # independent oracle: characteristic-cubic root + linear solve
@@ -40,8 +40,8 @@ def test_criterion_1_ahp_weights():
 
 
 def test_criterion_2_consistency_rule():
-    safety = ahp.principal_eigenvector(voi.safety_matrix())
-    traffic = ahp.principal_eigenvector(voi.traffic_matrix())
+    safety = ahp.principal_eigenvector(voi.BUILTIN_MATRICES["safety"])
+    traffic = ahp.principal_eigenvector(voi.BUILTIN_MATRICES["traffic"])
     assert safety.lambda_max == pytest.approx(3.0126, abs=1e-3)
     assert traffic.lambda_max == pytest.approx(3.0803, abs=1e-3)
     safety_report = ahp.consistency(safety, 3)

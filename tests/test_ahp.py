@@ -74,26 +74,6 @@ def test_all_ones_matrix_gives_uniform_weights():
     assert ahp.consistency(solution, 3).consistency_ratio == pytest.approx(0.0, abs=1e-12)
 
 
-def test_build_matrix_matches_manual_entries():
-    matrix = ahp.build_matrix(
-        LABELS,
-        {
-            ("timeliness", "proximity"): 1 / 7,
-            ("timeliness", "quality"): 1.0,
-            ("proximity", "quality"): 5.0,
-        },
-    )
-    assert np.allclose(matrix.entries, np.array(SAFETY_ROWS))
-    assert matrix.labels == LABELS
-
-
-def test_build_matrix_rejects_reversed_and_missing_pairs():
-    with pytest.raises(ValueError, match="upper triangle"):
-        ahp.build_matrix(LABELS, {("proximity", "timeliness"): 7.0})
-    with pytest.raises(ValueError, match="missing"):
-        ahp.build_matrix(LABELS, {("timeliness", "proximity"): 1 / 7})
-
-
 def test_matrix_validation_errors():
     with pytest.raises(ValueError, match="Saaty range"):
         matrix_from_rows([[1, 15, 1], [1 / 15, 1, 1], [1, 1, 1]])

@@ -113,9 +113,9 @@ def test_weights_matrix_must_be_square(capsys, tmp_path):
 
 
 def test_weights_unknown_profile(capsys):
-    code, _, err = run_cli(capsys, "weights", "--profile", "nope")
-    assert code == 1
-    assert "safety" in err
+    code, out, err = run_cli(capsys, "weights", "--profile", "nope")
+    assert code == 1 and out == ""
+    assert err == "error: unknown comparison matrix 'nope'; known: ['safety', 'traffic']\n"
 
 
 def test_argparse_errors_exit_1(capsys):
@@ -279,6 +279,11 @@ def test_sweep_spec_missing_key(capsys, tmp_path):
          "series[0]: field 'mode': unknown mode 'raw'"),
         (dict(good, series=[dict(good["series"][0], mode=7)]),
          "series[0]: field 'mode': mode must be a JSON string, got 7"),
+        *(
+            (dict(good, series=[dict(good["series"][0], **{key: -0.1})]),
+             f"series[0]: {key} must be non-negative, got -0.1")
+            for key in ("aoi", "distance", "obs_distance")
+        ),
         # A label is printed unquoted in the CSV header and its "# series" line.
         (dict(good, series=[dict(good["series"][0], label="a,b\nc")]),
          "series[0]: field 'label' must not hold a comma, quote or line break, got \"a,b\\nc\""),
@@ -434,7 +439,7 @@ def test_schedule_input_errors(capsys, tmp_path):
         capsys, "schedule", "--records", rec, "--receivers", rcv,
         "--profile", "safety", "--threshold", "0.5",
     )
-    assert code == 1 and "at least one receiver" in err
+    assert code == 1 and err == f"error: {rcv}: at least one receiver is required\n"
 
     code, _, err = run_cli(
         capsys, "schedule", "--records", rec, "--receivers", rcv, "--profile", "safety",
@@ -618,14 +623,122 @@ def test_files_are_read_and_written_as_utf8_under_the_c_locale(tmp_path):
         PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
     )
     out_path = tmp_path / "decisions.csv"
-    run = subprocess.run(
-        [sys.executable, "-m", "voinet.cli", "schedule", "--records", rec, "--receivers", rcv,
-         "--profile", "safety", "--threshold", "0.5", "--now", "0", "--out", str(out_path)],
-        env=env, capture_output=True, text=True,
+    for out in (["--out", str(out_path)], []):  # the CSV to a file, then to stdout
+        run = subprocess.run(
+            [sys.executable, "-m", "voinet.cli", "schedule", "--records", rec, "--receivers", rcv,
+             "--profile", "safety", "--threshold", "0.5", "--now", "0", *out],
+            env=env, capture_output=True,
+        )
+        assert (run.returncode, run.stderr) == (0, b"")
+        rows = (out_path.read_bytes() if out else run.stdout).splitlines()
+        assert rows[1].startswith("1,café,ü,".encode("utf-8")) and rows[1].endswith(b",transmit")
+
+
+def test_undecodable_bytes_are_located(capsys, tmp_path):
+    good_record = json.dumps(base_record("r1", 1.0)).encode()
+    good_receiver = json.dumps({"id": "a", "distance": 1.0, "scenario": "urban"}).encode()
+    records, receivers = tmp_path / "records.jsonl", tmp_path / "receivers.jsonl"
+    other = tmp_path / "other.json"
+    bad_record = good_record.replace(b'"v1"', b'"v\xff"')
+    schedule = ("schedule", "--records", str(records), "--receivers", str(receivers),
+                "--profile", "safety", "--threshold", "0.5")
+    out_path = tmp_path / "never.csv"
+    for record_lines, receiver_lines, other_text, args, where in (
+        ([good_record, bad_record], [good_receiver], b"", schedule, f"{records}:2"),
+        ([good_record, b"", bad_record], [good_receiver], b"", schedule, f"{records}:3"),
+        ([good_record], [b"\xff" + good_receiver], b"", schedule, f"{receivers}:1"),
+        ([], [], b'{"profiles":\r\n\xff}', ("assess", "--config", str(other), "--profile", "safety",
+                                            "--distance", "1"), f"{other}:2"),
+        ([], [], b"[[1, 1],\n [1, 1\xff]]", ("weights", "--matrix", str(other)), f"{other}:2"),
+        ([], [], b'{"name": "\xc3"}', ("sweep", "--spec", str(other), "--out", str(out_path)),
+         f"{other}:1"),
+    ):
+        records.write_bytes(b"".join(line + b"\n" for line in record_lines))
+        receivers.write_bytes(b"".join(line + b"\n" for line in receiver_lines))
+        other.write_bytes(other_text)
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {where}: not UTF-8 text: ") and err.count("\n") == 1
+    assert err == f"error: {other}:1: not UTF-8 text: invalid continuation byte at column 11\n"
+    assert not out_path.exists()
+
+
+def test_sensor_whose_quality_scale_underflows_is_located(capsys, tmp_path):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"sensors": {"x": {"height": 1e-200, "resolution": 1e-200}}}))
+    code, out, err = run_cli(
+        capsys, "assess", "--config", str(config), "--profile", "safety", "--distance", "1",
+        "--sensor", "x",
     )
-    assert (run.returncode, run.stderr) == (0, "")
-    rows = out_path.read_text(encoding="utf-8").splitlines()
-    assert rows[1].startswith("1,café,ü,") and rows[1].endswith(",transmit")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {config}: sensor 'x': sensor height * focal distance must be positive")
+
+
+def test_sweep_obs_grid_too_fine_to_count_leaves_the_half_distance(capsys, tmp_path):
+    spec = {
+        "variable": "distance", "start": 0, "stop": 100, "step": 50,
+        "series": [{"label": "s", "profile": "safety", "scenario": "urban", "temporal": "variable",
+                    "sensor": "medium", "aoi": 0.1}],
+    }
+    csvs = []
+    for obs_grid in (None, 1e-320):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(dict(spec, obs_grid=obs_grid)))
+        out_path = tmp_path / "out.csv"
+        code, _, err = run_cli(capsys, "sweep", "--spec", str(path), "--out", str(out_path))
+        assert (code, err) == (0, "")
+        csvs.append([l for l in out_path.read_text().splitlines() if not l.startswith("# obs-grid")])
+    assert csvs[0] == csvs[1]
+
+
+def test_an_infinite_age_keeps_static_timeliness_at_one(capsys, tmp_path):
+    records = [dict(base_record(rid, 10.0, t0), temporal="static")
+               for rid, t0 in (("old", -1e308), ("new", 1e308))]
+    rec, rcv = schedule_files(tmp_path, records, [{"id": "a", "distance": 10.0, "scenario": "urban"}])
+    outs = []
+    for now in ((), ("--now", "1e308")):
+        code, out, err = run_cli(
+            capsys, "schedule", "--records", rec, "--receivers", rcv, "--profile", "safety",
+            "--threshold", "0.5", *now,
+        )
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1]
+    # Static records keep timeliness 1 at any age, so both score as if just sent.
+    assert outs[0].splitlines()[1:] == [
+        "1,new,a,0.99146,transmit", "2,old,a,0.99146,transmit", "transmit=2 cancelled=0",
+    ]
+
+
+def test_text_the_csvs_print_is_checked(capsys, tmp_path):
+    # Ids and labels are printed unquoted; the name, notes and a series' profile
+    # name in "#" lines. None may hold a lone surrogate, which UTF-8 cannot encode.
+    rec, rcv = schedule_files(tmp_path, [base_record("\ud800", 1.0)], [])
+    code, out, err = run_cli(
+        capsys, "schedule", "--records", rec, "--receivers", rcv, "--profile", "safety",
+        "--threshold", "0.5",
+    )
+    assert (code, out) == (1, "")
+    assert err == f'error: {rec}:1: field \'id\' must not hold a lone surrogate, got "\\ud800"\n'
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"profiles": {"a\nb": {"weights": {
+        "timeliness": 1, "proximity": 0, "quality": 0}}}}))
+    series = {"label": "s", "profile": "safety", "scenario": "urban", "temporal": "variable",
+              "sensor": "medium", "aoi": 0.1}
+    spec = {"variable": "distance", "start": 0, "stop": 100, "step": 50, "series": [series]}
+    path, out_path = tmp_path / "spec.json", tmp_path / "never.csv"
+    for change, message in (
+        ({"name": "x\ny"}, 'field \'name\' must not hold a line break, got "x\\ny"'),
+        ({"notes": ["ok", "\ud800"]}, 'field \'notes\' must not hold a lone surrogate, got "\\ud800"'),
+        ({"series": [dict(series, profile="a\nb")]},
+         'series[0]: field \'profile\' must not hold a line break, got "a\\nb"'),
+    ):
+        path.write_text(json.dumps(dict(spec, **change)))
+        code, out, err = run_cli(
+            capsys, "sweep", "--spec", str(path), "--config", str(config), "--out", str(out_path),
+        )
+        assert (code, out, err) == (1, "", f"error: {path}: {message}\n")
+    assert not out_path.exists()
 
 
 def test_presets_listing(capsys):

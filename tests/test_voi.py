@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voinet import voi
+from voinet import ahp, voi
+from conftest import SAFETY_ROWS, TRAFFIC_ROWS
 
 
 def make_ctx(**kw):
@@ -218,15 +219,27 @@ def test_profile_rejects_non_finite_weights(bad):
 
 
 def test_live_derivation_agrees_with_frozen_profiles():
-    live = voi.profile_from_matrix("safety", voi.safety_matrix())
+    live = voi.profile_from_matrix("safety", voi.BUILTIN_MATRICES["safety"])
     assert live.weights == pytest.approx(voi.SAFETY.weights, abs=1e-8)
-    live = voi.profile_from_matrix("traffic", voi.traffic_matrix())
+    live = voi.profile_from_matrix("traffic", voi.BUILTIN_MATRICES["traffic"])
     assert live.weights == pytest.approx(voi.TRAFFIC.weights, abs=1e-8)
+
+
+def test_no_decay_keeps_timeliness_at_one_at_an_infinite_age():
+    assert voi.timeliness_voi(math.inf, voi.STATIC) == 1.0  # not exp(-0 * inf), a NaN
+    assert voi.timeliness_voi(math.inf, voi.DYNAMIC) == 0.0
+
+
+def test_builtin_matrices_are_the_full_rows():
+    for name, rows in (("safety", SAFETY_ROWS), ("traffic", TRAFFIC_ROWS)):
+        matrix = voi.BUILTIN_MATRICES[name]
+        assert type(matrix) is ahp.ComparisonMatrix
+        assert matrix.labels == voi.ATTRIBUTES
+        assert matrix.entries == rows
 
 
 def test_profile_from_matrix_requires_attribute_labels():
     import numpy as np
-    from voinet import ahp
 
     matrix = ahp.ComparisonMatrix(("a", "b", "c"), np.ones((3, 3)))
     with pytest.raises(ValueError, match="labeled"):
