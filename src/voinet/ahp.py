@@ -24,8 +24,10 @@ EIGEN_TOL = 1e-10
 MAX_ITER = 10_000
 
 # Random consistency index per matrix size. Values for n >= 4 are the
-# standard published table; sizes without an entry are rejected.
+# standard published table; sizes without an entry are rejected. Every 2x2
+# reciprocal matrix is consistent: its index is 0, and so is its ratio.
 RANDOM_INDEX: dict[int, float] = {
+    2: 0.0,
     3: 0.58,
     4: 0.90,
     5: 1.12,
@@ -155,7 +157,7 @@ def consistency(sol: EigenSolution, n: int) -> ConsistencyReport:
         )
     c_i = (sol.lambda_max - n) / (n - 1)
     r_i = RANDOM_INDEX[n]
-    c_r = c_i / r_i
+    c_r = c_i / r_i if r_i else 0.0
     return ConsistencyReport(
         consistency_index=c_i,
         random_index=r_i,

@@ -18,6 +18,8 @@ from .scheduler import SchedulerConfig, filter_broadcast, rank
 from .sweep import figure_preset, preset_names, run_sweep
 from .voi import BUILTIN_MATRICES, AssessmentContext, attribute_scores, temporal_from_decay
 
+COMMANDS = ("weights", "assess", "sweep", "schedule", "presets")
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse defaults to exit code 2; the contract reserves 2 for the
@@ -45,50 +47,58 @@ def _non_negative(text: str) -> float:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The command-line parser; given argv, only the command it names gets its arguments.
+
+    Every command is still added, with its help, so the top-level help and
+    usage read the same. An argv that names no command gets them all.
+    """
     parser = _Parser(prog="voinet", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    named = argv[0] if argv and argv[0] in COMMANDS else None
 
-    p_weights = sub.add_parser("weights", help="derive priority weights")
-    src = p_weights.add_mutually_exclusive_group(required=True)
-    src.add_argument("--profile", help="built-in comparison matrix (safety, traffic)")
-    src.add_argument("--matrix", help="JSON file with a pairwise comparison matrix")
-    p_weights.set_defaults(func=cmd_weights)
+    def command(name: str, summary: str, func) -> argparse.ArgumentParser | None:
+        """Add a command; its parser, if it is to get its arguments, else None."""
+        full = named in (None, name)
+        p = sub.add_parser(name, help=summary, add_help=full)  # -h of a command not called is never read
+        p.set_defaults(func=func)
+        return p if full else None
 
-    p_assess = sub.add_parser("assess", help="score a single context")
-    p_assess.add_argument("--config", help="JSON config file")
-    p_assess.add_argument("--profile", required=True)
-    p_assess.add_argument("--scenario", default="urban")
-    p_assess.add_argument("--sensor", default="medium")
-    p_assess.add_argument("--distance", type=_non_negative, required=True)
-    p_assess.add_argument("--aoi", type=_non_negative, default=0.0)
-    p_assess.add_argument("--ptd", type=_non_negative, default=1.0, help="temporal decay rate (1/s)")
-    p_assess.add_argument("--mode", choices=sorted(cfgmod.MODE_ALIASES), default="processed")
-    p_assess.add_argument("--obs-distance", type=_non_negative, default=None)
-    p_assess.set_defaults(func=cmd_assess)
+    if p := command("weights", "derive priority weights", cmd_weights):
+        src = p.add_mutually_exclusive_group(required=True)
+        src.add_argument("--profile", help="built-in comparison matrix (safety, traffic)")
+        src.add_argument("--matrix", help="JSON file with a pairwise comparison matrix")
 
-    p_sweep = sub.add_parser("sweep", help="evaluate a sweep and write CSV")
-    src = p_sweep.add_mutually_exclusive_group(required=True)
-    src.add_argument("--figure", help="preset name (see the presets command)")
-    src.add_argument("--spec", help="JSON sweep spec file")
-    p_sweep.add_argument("--config", help="JSON config file (names used by --spec)")
-    p_sweep.add_argument("--out", help="output CSV path (default: <name>.csv)")
-    p_sweep.set_defaults(func=cmd_sweep)
+    if p := command("assess", "score a single context", cmd_assess):
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--profile", required=True)
+        p.add_argument("--scenario", default="urban")
+        p.add_argument("--sensor", default="medium")
+        p.add_argument("--distance", type=_non_negative, required=True)
+        p.add_argument("--aoi", type=_non_negative, default=0.0)
+        p.add_argument("--ptd", type=_non_negative, default=1.0, help="temporal decay rate (1/s)")
+        p.add_argument("--mode", choices=sorted(cfgmod.MODE_ALIASES), default="processed")
+        p.add_argument("--obs-distance", type=_non_negative, default=None)
 
-    p_sched = sub.add_parser("schedule", help="rank records and apply the threshold")
-    p_sched.add_argument("--config", help="JSON config file")
-    p_sched.add_argument("--records", required=True, help="JSON-lines record file")
-    p_sched.add_argument("--receivers", required=True, help="JSON-lines receiver file")
-    p_sched.add_argument("--profile", required=True)
-    p_sched.add_argument("--threshold", type=_finite_float, default=None)
-    p_sched.add_argument(
-        "--now", type=_finite_float, default=None, help="evaluation instant (default: latest t0)"
-    )
-    p_sched.add_argument("--out", help="output CSV path (default: stdout)")
-    p_sched.set_defaults(func=cmd_schedule)
+    if p := command("sweep", "evaluate a sweep and write CSV", cmd_sweep):
+        src = p.add_mutually_exclusive_group(required=True)
+        src.add_argument("--figure", help="preset name (see the presets command)")
+        src.add_argument("--spec", help="JSON sweep spec file")
+        p.add_argument("--config", help="JSON config file (names used by --spec)")
+        p.add_argument("--out", help="output CSV path (default: <name>.csv)")
 
-    p_presets = sub.add_parser("presets", help="list figure presets")
-    p_presets.set_defaults(func=cmd_presets)
+    if p := command("schedule", "rank records and apply the threshold", cmd_schedule):
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--records", required=True, help="JSON-lines record file")
+        p.add_argument("--receivers", required=True, help="JSON-lines receiver file")
+        p.add_argument("--profile", required=True)
+        p.add_argument("--threshold", type=_finite_float, default=None)
+        p.add_argument(
+            "--now", type=_finite_float, default=None, help="evaluation instant (default: latest t0)"
+        )
+        p.add_argument("--out", help="output CSV path (default: stdout)")
+
+    command("presets", "list figure presets", cmd_presets)
     return parser
 
 
@@ -101,7 +111,10 @@ def cmd_weights(args: argparse.Namespace) -> int:
         source = args.matrix
 
     solution = ahp.principal_eigenvector(matrix)
-    report = ahp.consistency(solution, matrix.n)
+    try:
+        report = ahp.consistency(solution, matrix.n)
+    except ValueError as exc:  # no random index for the size
+        raise ValueError(f"{source}: {exc}") from None
     print(f"matrix: {source} ({matrix.n}x{matrix.n})")
     pairs = " ".join(f"{label}={w:.6f}" for label, w in zip(matrix.labels, solution.weights))
     print(f"weights: {pairs}")
@@ -207,7 +220,8 @@ def cmd_presets(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

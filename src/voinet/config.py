@@ -11,6 +11,7 @@ holds the file, line, entry or series says where, through _at.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from functools import partial
 from typing import Any, Callable, Mapping, NamedTuple, TypeVar
@@ -43,6 +44,8 @@ MODE_ALIASES = {
 }
 
 WEIGHT_SUM_TOL = 1e-6
+_LABEL_SPECIAL = re.compile("[\\s=\ud800-\udfff]")
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")  # what surrogateescape decodes a non-UTF-8 byte to
 _FLOAT_MAX = sys.float_info.max
 _T = TypeVar("_T")
 
@@ -217,6 +220,10 @@ def parse_matrix(data: Any) -> ahp.ComparisonMatrix:
         labels = ATTRIBUTES if n == 3 else tuple(f"c{i + 1}" for i in range(n))
     elif not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
         raise ValueError("labels must be a list of strings")
+    for i, label in enumerate(labels):
+        if _LABEL_SPECIAL.search(label):  # weights prints "label=weight" pairs, space-separated
+            raise ValueError(f"labels[{i}]: a label must not hold whitespace, '=' or a lone surrogate, "
+                             f"got {json.dumps(label)}")
     return ahp.ComparisonMatrix(tuple(labels), entries)
 
 
@@ -273,36 +280,39 @@ _decode = json.JSONDecoder().raw_decode
 
 
 def _read_jsonl(path: str, kind: str, parse: Callable[[dict], _T]) -> list[_T]:
-    """parse(obj) for each non-blank line's JSON object, each with a new id; errors name file:line."""
+    """parse(obj) for each non-blank line's JSON object, each with a new id; errors name file:line.
+
+    Lines are decoded one by one, a byte that is not UTF-8 escaped, so that
+    errors come in line order.
+    """
     items, first_line = [], {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                if line.isspace():
-                    continue
-                text = line.strip(" \t\n\r")  # JSON's whitespace; str.strip also drops \x0c and \xa0
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if line.isspace():
+                continue
+            if not line.isascii() and _ESCAPED_BYTE.search(line):
+                raise _not_utf8(path)  # this line holds the file's first such byte
+            text = line.strip(" \t\n\r")  # JSON's whitespace; str.strip also drops \x0c and \xa0
+            try:
                 try:
-                    try:
-                        obj, end = _decode(text)
-                    except json.JSONDecodeError:
-                        end = -1
-                    except RecursionError as exc:  # nested too deep
-                        raise ValueError(f"invalid JSON: {exc}") from None
-                    if end != len(text):
-                        obj = json.loads(line)  # raises json's own message, columns counted in line
-                    if not isinstance(obj, dict):
-                        raise ValueError("expected a JSON object per line")
-                    items.append(parse(obj))
-                    item_id = obj["id"]  # parse has read it as a JSON string
-                    check_csv_text("id", item_id)  # the schedule CSV prints ids unquoted
-                    first = first_line.setdefault(item_id, lineno)
-                    if first != lineno:
-                        raise ValueError(f"duplicate {kind} id {item_id!r} (first on line {first})")
-                except ValueError as exc:
-                    why = f"invalid JSON: {exc}" if isinstance(exc, json.JSONDecodeError) else exc
-                    raise ValueError(f"{path}:{lineno}: {why}") from None
-    except UnicodeDecodeError:  # raised by the line iterator, outside the per-line try
-        raise _not_utf8(path) from None
+                    obj, end = _decode(text)
+                except json.JSONDecodeError:
+                    end = -1
+                except RecursionError as exc:  # nested too deep
+                    raise ValueError(f"invalid JSON: {exc}") from None
+                if end != len(text):
+                    obj = json.loads(line)  # raises json's own message, columns counted in line
+                if not isinstance(obj, dict):
+                    raise ValueError("expected a JSON object per line")
+                items.append(parse(obj))
+                item_id = obj["id"]  # parse has read it as a JSON string
+                check_csv_text("id", item_id)  # the schedule CSV prints ids unquoted
+                first = first_line.setdefault(item_id, lineno)
+                if first != lineno:
+                    raise ValueError(f"duplicate {kind} id {item_id!r} (first on line {first})")
+            except ValueError as exc:
+                why = f"invalid JSON: {exc}" if isinstance(exc, json.JSONDecodeError) else exc
+                raise ValueError(f"{path}:{lineno}: {why}") from None
     return items
 
 

@@ -28,12 +28,11 @@ from .voi import (
     URBAN,
     VARIABLE,
     ApplicationProfile,
-    AssessmentContext,
     LogisticParams,
     Scenario,
     SensorModel,
     TemporalClass,
-    overall_voi,
+    check_score,
     proximity_voi,
     quality_voi,
     timeliness_voi,
@@ -209,55 +208,63 @@ def _describe(series: SweepSeries) -> str:
     return " ".join(parts)
 
 
-def _observation_distance(spec: SweepSpec, series: SweepSeries, distance: float) -> float | None:
-    """An overall series' obs_distance: its own, or half the distance snapped down to obs_grid.
-
-    None leaves the unsnapped half distance to AssessmentContext.
-    """
-    if series.obs_distance is not None or spec.obs_grid is None:
+def _observation_distance(spec: SweepSpec, series: SweepSeries, distance: float) -> float:
+    """An overall series' obs_distance: its own, or half the distance, snapped down to obs_grid."""
+    if series.obs_distance is not None:
         return series.obs_distance
-    cells = distance / (2.0 * spec.obs_grid)
-    if cells == math.inf:  # a grid too fine to count cells in: no snap
-        return None
-    return spec.obs_grid * math.floor(cells)
+    if spec.obs_grid is not None:
+        cells = distance / (2.0 * spec.obs_grid)
+        if cells < math.inf:  # else a grid too fine to count cells in: no snap
+            return spec.obs_grid * math.floor(cells)
+    return distance / 2.0
 
 
-def _evaluate(
-    spec: SweepSpec, series: SweepSeries, x: float, params: LogisticParams
-) -> float:
-    if spec.variable == "distance":
-        distance, aoi = x, series.aoi
-    else:
-        distance, aoi = series.distance, x
+def _score_pass(
+    spec: SweepSpec, series: SweepSeries, xs: tuple[float, ...], params: LogisticParams
+) -> tuple[list[float], ...]:
+    """The checked scores of the series' context at each grid point, one list per attribute.
 
-    if series.attribute == "proximity":
-        return proximity_voi(distance, series.scenario.safety_distance, params)
-    if series.attribute == "timeliness":
-        return timeliness_voi(aoi if aoi is not None else 0.0, series.temporal)
-    if series.attribute == "quality":
-        # The sweep variable is the observation distance here.
-        obs = distance if series.obs_distance is None else series.obs_distance
-        return quality_voi(obs, series.sensor, series.scenario, series.mode)
-
-    ctx = AssessmentContext(
-        distance=distance,
-        aoi=aoi,
-        scenario=series.scenario,
-        temporal=series.temporal,
-        sensor=series.sensor,
-        mode=series.mode,
-        obs_distance=_observation_distance(spec, series, distance),
-    )
-    return overall_voi(ctx, series.profile, params)
+    An overall series gets timeliness, proximity and quality, for each
+    profile to weigh; a conditional series gets its one attribute.
+    """
+    attribute, scenario = series.attribute, series.scenario
+    fixed = [series.aoi if spec.variable == "distance" else series.distance] * len(xs)
+    distances, aois = (xs, fixed) if spec.variable == "distance" else (fixed, xs)
+    scores = {}
+    if attribute in ("overall", "timeliness"):
+        scores["timeliness"] = [timeliness_voi(0.0 if aoi is None else aoi, series.temporal) for aoi in aois]
+    if attribute in ("overall", "proximity"):
+        scores["proximity"] = [proximity_voi(d, scenario.safety_distance, params) for d in distances]
+    if attribute == "overall":
+        obs = [_observation_distance(spec, series, d) for d in distances]
+    elif attribute == "quality":  # the sweep variable is the observation distance itself
+        obs = distances if series.obs_distance is None else [series.obs_distance] * len(xs)
+    if attribute in ("overall", "quality"):
+        scores["quality"] = [quality_voi(d, series.sensor, scenario, series.mode) for d in obs]
+    for name, values in scores.items():
+        for value in values:
+            check_score(name, value)
+    return tuple(scores.values())
 
 
 def run_sweep(spec: SweepSpec, params: LogisticParams = DEFAULT_LOGISTIC) -> CurveSet:
-    """Evaluate every series of the spec over its grid."""
+    """Evaluate every series of the spec over its grid.
+
+    Series that differ only in label and profile share one scoring pass.
+    """
     xs = spec.grid()
-    curves = tuple(
-        tuple(_evaluate(spec, series, x, params) for x in xs) for series in spec.series
-    )
-    return CurveSet(spec=spec, xs=xs, curves=curves)
+    passes: dict[tuple, tuple[list[float], ...]] = {}
+    curves = []
+    for series in spec.series:
+        context = series[2:]  # every field but label and profile
+        scores = passes.get(context)
+        if scores is None:
+            scores = passes[context] = _score_pass(spec, series, xs, params)
+        if series.attribute == "overall":
+            curves.append(tuple(map(series.profile.overall, *scores)))
+        else:
+            curves.append(tuple(scores[0]))
+    return CurveSet(spec=spec, xs=xs, curves=tuple(curves))
 
 
 # Preset rows. A _conditional row is (label suffix, series fields) and

@@ -124,10 +124,16 @@ def test_non_convergence_raises(monkeypatch):
 
 
 def test_consistency_rejects_unsupported_sizes():
+    eleven = ahp.ComparisonMatrix([f"c{i}" for i in range(11)], np.ones((11, 11)))
+    solution = ahp.principal_eigenvector(eleven)
+    with pytest.raises(ValueError, match="n=11"):
+        ahp.consistency(solution, 11)
+
+
+def test_every_2x2_matrix_is_consistent():
     two = ahp.ComparisonMatrix(("a", "b"), np.array([[1.0, 3.0], [1 / 3, 1.0]]))
-    solution = ahp.principal_eigenvector(two)
-    with pytest.raises(ValueError, match="n=2"):
-        ahp.consistency(solution, 2)
+    report = ahp.consistency(ahp.principal_eigenvector(two), 2)
+    assert (report.random_index, report.consistency_ratio, report.acceptable) == (0.0, 0.0, True)
 
 
 @st.composite

@@ -1,4 +1,6 @@
+import contextlib
 import copy
+import io
 import json
 import os
 import random
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import DATA_DIR, NOT_FINITE_NUMBERS
+from voinet import cli
 from voinet.cli import main
 
 
@@ -116,6 +119,36 @@ def test_weights_unknown_profile(capsys):
     code, out, err = run_cli(capsys, "weights", "--profile", "nope")
     assert code == 1 and out == ""
     assert err == "error: unknown comparison matrix 'nope'; known: ['safety', 'traffic']\n"
+
+
+def test_weights_of_a_2x2_matrix_and_of_a_size_without_a_random_index(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps([[1, 2], [0.5, 1]]))
+    code, out, err = run_cli(capsys, "weights", "--matrix", str(path))
+    assert (code, err) == (0, "")
+    assert weights_from(out) == pytest.approx({"c1": 2 / 3, "c2": 1 / 3}, abs=1e-6)
+    assert [stat_from(out, key) for key in ("random_index", "consistency_ratio", "acceptable")] == [
+        "0", "0.000000", "yes"
+    ]
+    path.write_text(json.dumps([[1] * 11] * 11))
+    code, out, err = run_cli(capsys, "weights", "--matrix", str(path))
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: {path}: no random consistency index for n=11; "
+        "supported sizes are [2, 3, 4, 5, 6, 7, 8, 9, 10]\n"
+    )
+
+
+@pytest.mark.parametrize("label", ["a b", "a\nb", "a\tb", "\u2028", "a=b", "=", "a\ud800"])
+def test_weights_matrix_labels_that_would_split_the_output_are_located(capsys, tmp_path, label):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"labels": ["x", "y", label], "matrix": [[1, 1, 1]] * 3}))
+    code, out, err = run_cli(capsys, "weights", "--matrix", str(path))
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: {path}: labels[2]: a label must not hold whitespace, '=' or a lone surrogate, "
+        f"got {json.dumps(label)}\n"
+    )
 
 
 def test_argparse_errors_exit_1(capsys):
@@ -663,6 +696,22 @@ def test_undecodable_bytes_are_located(capsys, tmp_path):
     assert not out_path.exists()
 
 
+def test_a_records_file_reports_its_first_bad_line_first(capsys, tmp_path):
+    records, receivers = tmp_path / "records.jsonl", tmp_path / "receivers.jsonl"
+    receivers.write_text(json.dumps({"id": "a", "distance": 1.0, "scenario": "urban"}) + "\n")
+    schedule = ("schedule", "--records", str(records), "--receivers", str(receivers),
+                "--profile", "safety", "--threshold", "0.5")
+    for data, where in (
+        (b'{bad json\n{"id": "q\xff"}\n', f"{records}:1: invalid JSON: "),
+        (b'{"id": "q\xff"}\n{bad json\n', f"{records}:1: not UTF-8 text: "),
+        (b'\n\xc3\xa9\n{"id": "caf\xc3\xa9", "source": "v\xc3"}\n', f"{records}:2: invalid JSON: "),
+    ):
+        records.write_bytes(data)
+        code, out, err = run_cli(capsys, *schedule)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {where}") and err.count("\n") == 1
+
+
 def test_sensor_whose_quality_scale_underflows_is_located(capsys, tmp_path):
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"sensors": {"x": {"height": 1e-200, "resolution": 1e-200}}}))
@@ -748,3 +797,51 @@ def test_presets_listing(capsys):
     assert len(lines) == 10
     assert lines[0].startswith("fig2a:")
     assert lines[-1].startswith("fig6:")
+
+
+
+# Help and usage-error runs, with their exit codes, as data/cli_help.txt pins them.
+HELP_CASES = (
+    ("--help",),
+    *((command, "--help") for command in ("weights", "assess", "sweep", "schedule", "presets")),
+    (),
+    ("bogus",),
+    ("-h", "sweep"),
+    ("sweep",),
+    ("sweep", "--figure", "fig3a", "extra"),
+    ("schedule", "--records", "x"),
+)
+# argparse wraps and quotes differently from one Python to the next.
+HELP_PYTHON = (3, 11)  # the Python that wrote data/cli_help.txt
+
+
+def help_transcript():
+    """Every HELP_CASES run, as data/cli_help.txt holds them; set COLUMNS=80 first.
+
+    Regenerate with: COLUMNS=80 PYTHONPATH=src:tests python -c
+    "import test_cli; print(test_cli.help_transcript(), end='')" > tests/data/cli_help.txt
+    """
+    parts = []
+    for argv in HELP_CASES:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        parts.append(f"==> {' '.join(('voinet',) + argv)} (exit {code})\n")
+        parts.append(f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}")
+    return "".join(parts)
+
+
+def test_help_and_usage_text_is_pinned(monkeypatch):
+    if sys.version_info[:2] != HELP_PYTHON:
+        pytest.skip(f"data/cli_help.txt holds the argparse text of Python {HELP_PYTHON}")
+    monkeypatch.setenv("COLUMNS", "80")
+    assert help_transcript() == (DATA_DIR / "cli_help.txt").read_text(encoding="utf-8")
+
+
+def test_each_command_prints_the_help_and_usage_of_the_full_parser(monkeypatch):
+    # On any Python: the parser main builds prints what one built for every command prints.
+    monkeypatch.setenv("COLUMNS", "80")
+    mine = help_transcript()
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda *args: full())
+    assert mine == help_transcript()

@@ -71,6 +71,9 @@ FINITE = st.one_of(NON_NEGATIVE, POSITIVE.map(lambda x: -x))
 # and as a JSON escape.
 ODD_TEXTS = st.sampled_from(["a,b", 'q"t', "x\ny", "cr\r", "\ud800", raw('"\\ud800"')])
 ODD_VALUE = st.one_of(st.sampled_from(NOT_NUMBERS), FINITE, ODD_TEXTS)
+# Comparison-matrix labels that a "weights:" line cannot print.
+ODD_LABELS = st.one_of(ODD_TEXTS, st.sampled_from(["a b", "\t", "a=1", "=", "", "l0", 5, None]))
+SAATY = [1, 2, 3, 5, 7, 9, 1 / 3, 1 / 7]
 # A line of a JSON-lines file that holds no object.
 ODD_LINES = st.sampled_from(["", "   ", "null", "[]", "5", '"id"', "{", '{"id": "a"} {}', DEEP])
 # Bytes spliced into a file: an invalid start byte, a cut sequence, an encoded surrogate.
@@ -206,9 +209,34 @@ def inputs(odds: int) -> dict[str, st.SearchStrategy]:
         "name": pick(["custom", "café"], ["x\ny", "\ud800"]),
         "notes": st.lists(pick(["a note", "b, with a comma"], ["cr\r", raw('"\\ud800"')]), max_size=2),
     }), ["variable", "start", "stop", "step", "series", "obs_grid", "name", "notes"], odds)
+
+    @st.composite
+    def matrix(draw):
+        """A reciprocal Saaty matrix, as rows or as an object that may carry labels.
+
+        Half are consistent, ratios of priorities; half have random entries, which
+        mostly fail the consistency rule.
+        """
+        n = draw(either(st.integers(2, 6), st.sampled_from([0, 1, 10, 11, 12])))
+        priorities = draw(st.one_of(st.none(), st.lists(st.integers(1, 4), min_size=n, max_size=n)))
+        rows = [[1] * n for _ in range(n)]
+        for j in range(n):
+            for k in range(j + 1, n):
+                if priorities is None:
+                    rows[j][k] = draw(st.sampled_from(SAATY))
+                else:
+                    rows[j][k] = priorities[j] / priorities[k]
+                rows[k][j] = 1 / rows[j][k]
+        if n and draw(either(st.just(False), st.just(True))):
+            rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(ODD_VALUE)
+        labels = [f"l{i}" if label == AUTO else label
+                  for i, label in enumerate(draw(st.lists(either(st.just(AUTO), ODD_LABELS),
+                                                          min_size=n, max_size=n)))]
+        return draw(st.sampled_from([rows, {"matrix": rows}, {"matrix": rows, "labels": labels}]))
+
     return {
         "records": jsonl(record, "r"), "receivers": jsonl(receiver, "v", 1), "config": config,
-        "spec": spec, "splice": either(st.none(), SPLICE),
+        "spec": spec, "matrix": matrix(), "splice": either(st.none(), SPLICE),
     }
 
 
@@ -289,6 +317,10 @@ TINY_SENSOR = {"sensors": {"x": {"height": 1e-200, "resolution": 1e-200}}}
 @example(  # a byte that is not UTF-8 on line 2, not located
     files=([dump(dict(RECORD_AT, id="r", t0=0)), dump(dict(RECORD_AT, id="q", t0=0))], [RECEIVER_A],
            {}, (0.9, b"\xff")),
+    with_config=False, target=0, now=None, threshold="0.5", shuffle_seed=0,
+)
+@example(  # a byte that is not UTF-8 on line 2 was reported before line 1's invalid JSON
+    files=(["{bad json", dump(dict(RECORD_AT, id="q", t0=0))], [RECEIVER_A], {}, (0.9, b"\xff")),
     with_config=False, target=0, now=None, threshold="0.5", shuffle_seed=0,
 )
 def test_schedule_runs_or_fails_located(files, with_config, target, now, threshold, shuffle_seed):
@@ -423,3 +455,36 @@ def test_sweep_spec_runs_or_fails_located(files, with_config, target):
         assert header[0] == "x" and len(header) == series_written + 1
         assert all(len(row) == len(header) and all(map(in_unit_range, row[1:])) for row in rows)
         assert run(argv) == (0, out, "") and out_path.read_text(encoding="utf-8") == text
+
+
+WEIGHTS_LINES = ["matrix", "weights", "lambda_max", "consistency_index", "random_index",
+                 "consistency_ratio", "acceptable"]
+
+
+@FUZZ
+@given(files=draw("matrix", "splice"))
+@example(files=([[1, 2], [0.5, 1]], None))  # a 2x2 matrix had no random index, and exit 1 named no file
+@example(files=({"matrix": [[1] * 11] * 11}, None))  # nor did an 11x11 one
+@example(  # a lone surrogate in a label: stdout printed, then an encoding error, not located
+    files=({"labels": ["a", raw('"\\ud800"'), "c"], "matrix": [[1, 1, 1]] * 3}, None),
+)
+@example(files=({"labels": ["a b", "c", "d"], "matrix": [[1, 1, 1]] * 3}, None))  # split the weights line
+def test_weights_matrix_runs_or_fails_located(files):
+    matrix, splice = files
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write(Path(tmp) / "m.json", dump(matrix), splice)
+        argv = ["weights", "--matrix", path]
+        code, out, err = run(argv)
+        if code == 1:
+            check_failure(code, out, err, [path])
+            return
+        assert code in (0, 2) and err == ""  # 2: the matrix fails the consistency rule
+        lines = out.splitlines()
+        assert [line.split(": ")[0] for line in lines] == WEIGHTS_LINES
+        n = int(re.fullmatch(rf"matrix: {re.escape(path)} \((\d+)x\1\)", lines[0]).group(1))
+        pairs = [pair.split("=") for pair in lines[1].removeprefix("weights: ").split(" ")]
+        assert len(pairs) == n and all(len(pair) == 2 for pair in pairs)
+        weights = [float(weight) for _, weight in pairs]
+        assert all(map(in_unit_range, weights)) and abs(sum(weights) - 1) < 1e-5
+        assert lines[-1] == f"acceptable: {'yes' if code == 0 else 'no'}"
+        assert run(argv) == (code, out, err)

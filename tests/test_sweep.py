@@ -1,7 +1,10 @@
+import hashlib
 import json
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from voinet import sweep, voi
 from conftest import DATA_DIR, load_curves
@@ -233,3 +236,81 @@ def test_logistic_params_flow_through_the_sweep():
     default = sweep.run_sweep(spec)
     label = "fig2a:urban:-:proximity"
     assert steep.values(label)[20] < default.values(label)[20]
+
+
+def test_preset_csvs_are_frozen():
+    # sha256sum of each "voinet sweep --figure NAME" output file.
+    lines = (DATA_DIR / "preset_csv_sha256.txt").read_text().splitlines()
+    frozen = {name: digest for digest, name in (line.split() for line in lines)}
+    mine = {
+        f"{name}.csv": hashlib.sha256(
+            sweep.run_sweep(sweep.figure_preset(name)).to_csv().encode("utf-8")
+        ).hexdigest()
+        for name in sweep.preset_names()
+    }
+    assert mine == frozen
+
+
+def scalar_value(spec, series, x, params):
+    """What grid point x of a series is, from the scalar scores: the sweep's contract."""
+    distance, aoi = (x, series.aoi) if spec.variable == "distance" else (series.distance, x)
+    if series.attribute == "proximity":
+        return voi.proximity_voi(distance, series.scenario.safety_distance, params)
+    if series.attribute == "timeliness":
+        return voi.timeliness_voi(0.0 if aoi is None else aoi, series.temporal)
+    if series.attribute == "quality":
+        obs = distance if series.obs_distance is None else series.obs_distance
+        return voi.quality_voi(obs, series.sensor, series.scenario, series.mode)
+    obs = series.obs_distance
+    if obs is None and spec.obs_grid is not None and distance / (2.0 * spec.obs_grid) < math.inf:
+        obs = spec.obs_grid * math.floor(distance / (2.0 * spec.obs_grid))
+    ctx = voi.AssessmentContext(
+        distance, aoi, series.scenario, series.temporal, series.sensor, series.mode, obs
+    )
+    return voi.overall_voi(ctx, series.profile, params)
+
+
+SWEEP_PROFILES = (voi.SAFETY, voi.TRAFFIC, voi.ApplicationProfile("even", 0.25, 0.5, 0.25))
+FIXED = st.one_of(st.none(), st.sampled_from([0.0, -0.0, 0.1, 1.0, 12.5, 250.0]))
+
+
+@st.composite
+def sweep_specs(draw):
+    """A spec whose series share contexts: an overall context under one to three profiles."""
+    series = []
+    for _ in range(draw(st.integers(1, 3))):
+        context = dict(
+            attribute=draw(st.sampled_from(sweep.ATTRIBUTE_CHOICES)),
+            scenario=draw(st.sampled_from([voi.URBAN, voi.HIGHWAY])),
+            temporal=draw(st.sampled_from([*voi.TEMPORAL_CLASSES.values(), voi.TemporalClass("x", 0.5)])),
+            sensor=draw(st.sampled_from(list(voi.SENSORS.values()))),
+            mode=draw(st.sampled_from(voi.MODES)),
+            aoi=draw(FIXED), distance=draw(FIXED), obs_distance=draw(FIXED),
+        )
+        profiles = draw(st.lists(st.sampled_from(SWEEP_PROFILES), min_size=1, max_size=3))
+        if context["attribute"] != "overall":
+            profiles = [draw(st.sampled_from((None,) + SWEEP_PROFILES)) for _ in profiles]
+        series += [dict(context, profile=profile) for profile in profiles]
+    series = draw(st.permutations(series))
+    start, step = draw(st.sampled_from([0.0, 0.5, 10.0])), draw(st.sampled_from([0.1, 7.0, 25.0]))
+    try:
+        return sweep.SweepSpec(
+            variable=draw(st.sampled_from(sweep.VARIABLES)),
+            start=start, stop=start + step * draw(st.integers(0, 12)), step=step,
+            series=tuple(sweep.SweepSeries(f"s{i}", **fields) for i, fields in enumerate(series)),
+            obs_grid=draw(st.sampled_from([None, 5.0, 10.0, 1e-320])),
+        )
+    except ValueError:  # a context that lacks a field its attribute or variable needs
+        assume(False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(spec=sweep_specs(), params=st.sampled_from([
+    voi.DEFAULT_LOGISTIC, voi.LogisticParams(upper=0.9, lower=0.1), voi.LogisticParams(scale=1e300),
+]))
+def test_every_sweep_point_is_bitwise_the_scalar_score(spec, params):
+    curves = sweep.run_sweep(spec, params)
+    assert curves.xs == spec.grid()
+    for series, curve in zip(spec.series, curves.curves):
+        expected = [scalar_value(spec, series, x, params) for x in curves.xs]
+        assert [value.hex() for value in curve] == [value.hex() for value in expected], series
