@@ -111,10 +111,7 @@ def cmd_weights(args: argparse.Namespace) -> int:
         source = args.matrix
 
     solution = ahp.principal_eigenvector(matrix)
-    try:
-        report = ahp.consistency(solution, matrix.n)
-    except ValueError as exc:  # no random index for the size
-        raise ValueError(f"{source}: {exc}") from None
+    report = cfgmod._at(source, ahp.consistency, solution, matrix.n)  # no random index for the size
     print(f"matrix: {source} ({matrix.n}x{matrix.n})")
     pairs = " ".join(f"{label}={w:.6f}" for label, w in zip(matrix.labels, solution.weights))
     print(f"weights: {pairs}")

@@ -45,7 +45,6 @@ MODE_ALIASES = {
 
 WEIGHT_SUM_TOL = 1e-6
 _LABEL_SPECIAL = re.compile("[\\s=\ud800-\udfff]")
-_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")  # what surrogateescape decodes a non-UTF-8 byte to
 _FLOAT_MAX = sys.float_info.max
 _T = TypeVar("_T")
 
@@ -92,33 +91,35 @@ def parse_config(data: Any) -> ConfigDocument:
     return ConfigDocument(**tables, logistic=logistic, threshold=threshold)
 
 
+def _text(path: str, data: bytes, line: int = 1) -> str:
+    """data decoded as UTF-8, or a ValueError naming path:line and the column of its first bad byte.
+
+    line numbers data's first line; lines end at LF, CRLF or CR, as in text mode.
+    """
+    try:
+        return data.decode()  # bytes.decode's default is UTF-8, whatever the locale
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].decode().replace("\r\n", "\n").replace("\r", "\n")
+        line += head.count("\n")
+        column = len(head) - head.rfind("\n")
+        raise ValueError(f"{path}:{line}: not UTF-8 text: {exc.reason} at column {column}") from None
+
+
+def _json(text: str) -> Any:
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise ValueError(f"invalid JSON: {exc}") from None
+
+
 def read_json(path: str) -> Any:
-    """Parse one JSON file, naming the file if it is not valid JSON."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
-            raise ValueError(f"{path}: invalid JSON: {exc}") from None
-        except UnicodeDecodeError:
-            raise _not_utf8(path) from None
+    """Parse one JSON file, naming the file if it is not valid JSON.
 
-
-def _not_utf8(path: str) -> ValueError:
-    """Locate a file's first undecodable byte, counting lines as text mode does.
-
-    Only the error path calls this: it reads the file again, as bytes, because
-    a text-mode decode error gives an offset in the chunk it was decoding.
+    CRLF and CR read as LF, as in text mode, so json's positions count lines alike.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = data[: exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-        line = head.count("\n") + 1
-        column = len(head) - head.rfind("\n")
-        return ValueError(f"{path}:{line}: not UTF-8 text: {exc.reason} at column {column}")
-    return ValueError(f"{path}: not UTF-8 text")  # the file changed since the failed read
+        text = _text(path, fh.read()).replace("\r\n", "\n").replace("\r", "\n")
+    return _at(path, _json, text)
 
 
 def load_config(path: str | None) -> ConfigDocument:
@@ -144,12 +145,10 @@ def _is_finite_number(value: Any) -> bool:
     return type(value) in (int, float) and -_FLOAT_MAX <= value <= _FLOAT_MAX
 
 
-def _require(obj: Mapping[str, Any], key: str, default: Any = None) -> Any:
-    if key in obj:  # a default, when given, stands in for a missing key
-        return obj[key]
-    if default is None:
+def _require(obj: Mapping[str, Any], key: str) -> Any:
+    if key not in obj:
         raise ValueError(f"missing field {key!r}")
-    return default
+    return obj[key]
 
 
 def _number(obj: Mapping[str, Any], key: str, default: float | None = None) -> float:
@@ -158,7 +157,7 @@ def _number(obj: Mapping[str, Any], key: str, default: float | None = None) -> f
     # _is_finite_number's test, inlined because loaders call this per line.
     if type(value) in (int, float) and -_FLOAT_MAX <= value <= _FLOAT_MAX:
         return float(value)
-    value = _require(obj, key, default)
+    value = _require(obj, key)  # a default passes the test above
     raise ValueError(f"field {key!r} must be a finite number, got {json.dumps(value)}")
 
 
@@ -167,7 +166,7 @@ def _string(obj: Mapping[str, Any], key: str, default: str | None = None) -> str
     value = obj.get(key, default)
     if type(value) is str:
         return value
-    value = _require(obj, key, default)
+    value = _require(obj, key)  # a default passes the test above
     raise ValueError(f"field {key!r} must be a JSON string, got {json.dumps(value)}")
 
 
@@ -282,37 +281,36 @@ _decode = json.JSONDecoder().raw_decode
 def _read_jsonl(path: str, kind: str, parse: Callable[[dict], _T]) -> list[_T]:
     """parse(obj) for each non-blank line's JSON object, each with a new id; errors name file:line.
 
-    Lines are decoded one by one, a byte that is not UTF-8 escaped, so that
-    errors come in line order.
+    Lines end at LF, CRLF or CR, as in text mode, and are decoded one by one,
+    so that errors come in line order.
     """
     items, first_line = [], {}
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if line.isspace():
-                continue
-            if not line.isascii() and _ESCAPED_BYTE.search(line):
-                raise _not_utf8(path)  # this line holds the file's first such byte
-            text = line.strip(" \t\n\r")  # JSON's whitespace; str.strip also drops \x0c and \xa0
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # Not str.splitlines: it also splits at \x0c, U+2028 and more. A line keeps its end, which
+    # ends a cut-off UTF-8 sequence as in the whole file, so the reason reads alike.
+    for lineno, raw in enumerate(data.splitlines(keepends=True), 1):
+        line = _text(path, raw, lineno)
+        if line.isspace():
+            continue
+        text = line.strip(" \t\n\r")  # JSON's whitespace; str.strip also drops \x0c and \xa0
+        try:
             try:
-                try:
-                    obj, end = _decode(text)
-                except json.JSONDecodeError:
-                    end = -1
-                except RecursionError as exc:  # nested too deep
-                    raise ValueError(f"invalid JSON: {exc}") from None
-                if end != len(text):
-                    obj = json.loads(line)  # raises json's own message, columns counted in line
-                if not isinstance(obj, dict):
-                    raise ValueError("expected a JSON object per line")
-                items.append(parse(obj))
-                item_id = obj["id"]  # parse has read it as a JSON string
-                check_csv_text("id", item_id)  # the schedule CSV prints ids unquoted
-                first = first_line.setdefault(item_id, lineno)
-                if first != lineno:
-                    raise ValueError(f"duplicate {kind} id {item_id!r} (first on line {first})")
-            except ValueError as exc:
-                why = f"invalid JSON: {exc}" if isinstance(exc, json.JSONDecodeError) else exc
-                raise ValueError(f"{path}:{lineno}: {why}") from None
+                obj, end = _decode(text)
+            except (json.JSONDecodeError, RecursionError):
+                end = -1
+            if end != len(text):
+                obj = _json(line.rstrip("\r\n"))  # json's own message, columns counted in the line
+            if not isinstance(obj, dict):
+                raise ValueError("expected a JSON object per line")
+            items.append(parse(obj))
+            item_id = obj["id"]  # parse has read it as a JSON string
+            check_csv_text("id", item_id)  # the schedule CSV prints ids unquoted
+            first = first_line.setdefault(item_id, lineno)
+            if first != lineno:
+                raise ValueError(f"duplicate {kind} id {item_id!r} (first on line {first})")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return items
 
 

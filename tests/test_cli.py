@@ -99,17 +99,20 @@ def test_weights_matrix_entries_must_be_finite_numbers(capsys, tmp_path, bad):
 def test_weights_matrix_must_be_square(capsys, tmp_path):
     matrix = tmp_path / "m.json"
     config = tmp_path / "cfg.json"
-    for rows, message in (
+    for doc, message in (
         ([[1, 1, 1], [1, 1], [1, 1, 1]], "row 2 has 2 entries, expected 3"),
         ([[1, 1], [1, 1], [1, 1]], "row 1 has 2 entries, expected 3"),
+        ({"labels": "ab", "matrix": [[1, 1], [1, 1]]}, "labels must be a list of strings"),
+        (5, "expected a JSON matrix or an object with a 'matrix' key"),
     ):
-        matrix.write_text(json.dumps(rows))
-        config.write_text(json.dumps({"profiles": {"p": {"matrix": rows}}}))
-        for args, where in (
-            (("weights", "--matrix", str(matrix)), f"{matrix}: "),
-            (("assess", "--config", str(config), "--profile", "p", "--distance", "1"),
-             f"{config}: profile 'p': "),
-        ):
+        matrix.write_text(json.dumps(doc))
+        cases = [(("weights", "--matrix", str(matrix)), f"{matrix}: ")]
+        if doc != 5:  # a profile holds rows under "matrix", or the object form itself
+            profile = {"matrix": doc} if isinstance(doc, list) else doc
+            config.write_text(json.dumps({"profiles": {"p": profile}}))
+            cases.append((("assess", "--config", str(config), "--profile", "p", "--distance", "1"),
+                          f"{config}: profile 'p': "))
+        for args, where in cases:
             code, out, err = run_cli(capsys, *args)
             assert code == 1 and out == ""
             assert err == f"error: {where}{message}\n"
@@ -305,6 +308,8 @@ def test_sweep_spec_missing_key(capsys, tmp_path):
             assert f"field '{field}' must be a finite number, got {json.dumps(bad)}" in err
             assert "Traceback" not in err
     for spec, message in (
+        ([], "sweep spec must be a JSON object"),
+        (dict(good, start=-10), "start must be non-negative, got -10.0"),
         (dict(good, series=[5]), "series[0]: a series must be a JSON object"),
         (dict(good, series=5), "fields 'series' and 'notes' must be JSON lists"),
         (dict(good, stop=1e9, step=1e-3), "the sweep grid would have 1000000000001 points"),

@@ -118,6 +118,15 @@ def test_load_config_rejects_bad_documents(tmp_path):
     path.write_text("[1, 2]")
     with pytest.raises(ValueError, match="JSON object"):
         cfgmod.load_config(str(path))
+    # CRLF and CR read as LF, so json counts lines and chars as in a file written with LF.
+    for newline in ("\n", "\r\n", "\r"):
+        path.write_bytes(f'{{"profiles":{newline} {{}},{newline}}}'.encode())
+        with pytest.raises(ValueError) as info:
+            cfgmod.load_config(str(path))
+        assert str(info.value) == (
+            f"{path}: invalid JSON: Expecting property name enclosed in double quotes: "
+            "line 3 column 1 (char 18)"
+        )
     assert cfgmod.load_config(None) == cfgmod.default_config()
     for bad in NOT_FINITE_NUMBERS:
         for doc, message in (
@@ -151,6 +160,7 @@ def test_load_config_rejects_bad_documents(tmp_path):
          "scenario 's': safety distance must be positive, got -4.0"),
         ({"scenarios": {"s": {"kind": None, "v_max": 10}}},
          "scenario 's': field 'kind' must be a JSON string, got null"),
+        ({"profiles": {"p": 5}}, "profile 'p' must be an object"),
     ):
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError) as info:
@@ -249,8 +259,17 @@ def test_load_records_error_reporting(tmp_path):
         (f"\x0c{line}\n", ":1: invalid JSON: Expecting value: line 1 column 1 (char 0)"),
         (f"\n{line} \n", ":2: invalid JSON: Extra data: line 1 column"),
         ("[]\n", ":1: expected a JSON object per line"),
+        # json counts columns within the line, without its terminator.
+        ('{"id": "a", "source":\n', ":1: invalid JSON: Expecting value: line 1 column 22 (char 21)"),
+        ('{"id": "a", "source":\r\n', ":1: invalid JSON: Expecting value: line 1 column 22 (char 21)"),
+        # Lines end at LF, CRLF or a lone CR, and nowhere else.
+        (f"{line}\r\r{{oops\r", ":3: invalid JSON: Expecting property name"),
+        *((f"{json.dumps(dict(record, source=f'v{c}'), ensure_ascii=False)}\n{{oops\n",
+           ":2: invalid JSON: Expecting property name") for c in ("\u2028", "\x85")),
+        # A raw \x0c is invalid in a JSON string, so it leads line 2 here: it ends no line either.
+        (f"{line}\n\x0c{{oops\n", ":2: invalid JSON: Expecting value: line 1 column 1 (char 0)"),
     ):
-        path.write_text(text)
+        path.write_bytes(text.encode())
         with pytest.raises(ValueError) as info:
             cfgmod.load_records(str(path), cfg)
         assert str(info.value).startswith(f"{path}{message}")

@@ -15,6 +15,8 @@ CASES = [
      ("labels", ("a",)), "need at least 2 attributes, got 1"),
     (ahp.EigenSolution, dict(lambda_max=2.0, weights=(0.5, 0.5)),
      ("weights", (0.5, 0.6)), "weights sum to 1.1, expected 1"),
+    (ahp.EigenSolution, dict(lambda_max=3.0, weights=(0.5, 0.5, 0.0)),
+     ("weights", (1.5, -0.5, 0.0)), "weights outside [0, 1]: (1.5, -0.5, 0.0)"),
     (voi.LogisticParams, dict(upper=1.0, lower=0.0, offset=1.0, scale=1.0, decay=0.03, shape=0.2),
      ("decay", -1.0), "decay must be positive, got -1.0"),
     (voi.Scenario, dict(kind="urban", v_max=12.0, safety_distance=24.0, los_model=None),
@@ -49,7 +51,14 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("cls, fields, bad, message", CASES, ids=[case[0].__name__ for case in CASES])
+def case_ids(cases):
+    """Each case's type name, numbered from the type's second case on."""
+    names = [case[0].__name__ for case in cases]
+    return [name + (f"-{names[:i].count(name) + 1}" if name in names[:i] else "")
+            for i, name in enumerate(names)]
+
+
+@pytest.mark.parametrize("cls, fields, bad, message", CASES, ids=case_ids(CASES))
 def test_every_construction_path_runs_the_checks(cls, fields, bad, message):
     good = cls(**fields)
     assert cls(*fields.values()) == good == cls._make(fields.values())
