@@ -18,9 +18,6 @@ from .scheduler import SchedulerConfig, filter_broadcast, rank
 from .sweep import figure_preset, preset_names, run_sweep
 from .voi import BUILTIN_MATRICES, AssessmentContext, attribute_scores, temporal_from_decay
 
-COMMANDS = ("weights", "assess", "sweep", "schedule", "presets")
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse defaults to exit code 2; the contract reserves 2 for the
     # consistency rule, so argument errors must exit 1.
@@ -47,29 +44,14 @@ def _non_negative(text: str) -> float:
     return value
 
 
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The command-line parser; given argv, only the command it names gets its arguments.
-
-    Every command is still added, with its help, so the top-level help and
-    usage read the same. An argv that names no command gets them all.
-    """
-    parser = _Parser(prog="voinet", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-    named = argv[0] if argv and argv[0] in COMMANDS else None
-
-    def command(name: str, summary: str, func) -> argparse.ArgumentParser | None:
-        """Add a command; its parser, if it is to get its arguments, else None."""
-        full = named in (None, name)
-        p = sub.add_parser(name, help=summary, add_help=full)  # -h of a command not called is never read
-        p.set_defaults(func=func)
-        return p if full else None
-
-    if p := command("weights", "derive priority weights", cmd_weights):
+def _command(name: str, p: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """p, given command name's function and arguments."""
+    p.set_defaults(func=COMMANDS[name][1])
+    if name == "weights":
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--profile", help="built-in comparison matrix (safety, traffic)")
         src.add_argument("--matrix", help="JSON file with a pairwise comparison matrix")
-
-    if p := command("assess", "score a single context", cmd_assess):
+    elif name == "assess":
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--profile", required=True)
         p.add_argument("--scenario", default="urban")
@@ -79,15 +61,13 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
         p.add_argument("--ptd", type=_non_negative, default=1.0, help="temporal decay rate (1/s)")
         p.add_argument("--mode", choices=sorted(cfgmod.MODE_ALIASES), default="processed")
         p.add_argument("--obs-distance", type=_non_negative, default=None)
-
-    if p := command("sweep", "evaluate a sweep and write CSV", cmd_sweep):
+    elif name == "sweep":
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--figure", help="preset name (see the presets command)")
         src.add_argument("--spec", help="JSON sweep spec file")
         p.add_argument("--config", help="JSON config file (names used by --spec)")
         p.add_argument("--out", help="output CSV path (default: <name>.csv)")
-
-    if p := command("schedule", "rank records and apply the threshold", cmd_schedule):
+    elif name == "schedule":
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--records", required=True, help="JSON-lines record file")
         p.add_argument("--receivers", required=True, help="JSON-lines receiver file")
@@ -97,8 +77,15 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
             "--now", type=_finite_float, default=None, help="evaluation instant (default: latest t0)"
         )
         p.add_argument("--out", help="output CSV path (default: stdout)")
+    return p
 
-    command("presets", "list figure presets", cmd_presets)
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full command-line parser: every command, with its arguments and help."""
+    parser = _Parser(prog="voinet", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, _) in COMMANDS.items():
+        _command(name, sub.add_parser(name, help=summary))
     return parser
 
 
@@ -216,11 +203,32 @@ def cmd_presets(args: argparse.Namespace) -> int:
     return 0
 
 
+COMMANDS = {  # name: (summary, function)
+    "weights": ("derive priority weights", cmd_weights),
+    "assess": ("score a single context", cmd_assess),
+    "sweep": ("evaluate a sweep and write CSV", cmd_sweep),
+    "schedule": ("rank records and apply the threshold", cmd_schedule),
+    "presets": ("list figure presets", cmd_presets),
+}
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv, parsed as the full tree parses it, by the named command's parser alone.
+
+    The full tree is built only when argv names no command, or when the command
+    leaves arguments over: it then prints argparse's top-level help, usage or error.
+    """
+    if argv and argv[0] in COMMANDS:
+        args, extra = _command(argv[0], _Parser(prog=f"voinet {argv[0]}")).parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

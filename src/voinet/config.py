@@ -94,8 +94,11 @@ def parse_config(data: Any) -> ConfigDocument:
 def _text(path: str, data: bytes, line: int = 1) -> str:
     """data decoded as UTF-8, or a ValueError naming path:line and the column of its first bad byte.
 
-    line numbers data's first line; lines end at LF, CRLF or CR, as in text mode.
+    line numbers data's first line; lines end at LF, CRLF or CR, as in text mode. Line 1 of a
+    file may start with a byte-order mark, which is dropped, as RFC 8259 section 8.1 allows.
     """
+    if line == 1:
+        data = data.removeprefix(b"\xef\xbb\xbf")
     try:
         return data.decode()  # bytes.decode's default is UTF-8, whatever the locale
     except UnicodeDecodeError as exc:

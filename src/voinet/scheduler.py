@@ -31,8 +31,7 @@ class PerceptionRecord(Checked, namedtuple(
     def __new__(cls, id, source_vehicle, generated_at, object_distance, temporal, sensor, mode=voi.PROCESSED):
         if object_distance < 0:
             raise ValueError(f"object distance must be non-negative, got {object_distance}")
-        if mode not in voi.MODES:
-            raise ValueError(f"mode must be one of {voi.MODES}, got {mode!r}")
+        voi.check_mode(mode)
         return tuple.__new__(cls, (id, source_vehicle, generated_at, object_distance, temporal, sensor, mode))
 
 

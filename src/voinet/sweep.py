@@ -18,7 +18,6 @@ from .voi import (
     DEFAULT_LOGISTIC,
     DYNAMIC,
     HIGHWAY,
-    MODES,
     NON_PROCESSED,
     PROCESSED,
     SAFETY,
@@ -32,6 +31,7 @@ from .voi import (
     Scenario,
     SensorModel,
     TemporalClass,
+    check_mode,
     check_score,
     proximity_voi,
     quality_voi,
@@ -81,8 +81,7 @@ class SweepSeries(Checked, namedtuple(
                 check_csv_text(field, value[0], comment=True)
         if attribute not in ATTRIBUTE_CHOICES:
             raise ValueError(f"attribute must be one of {ATTRIBUTE_CHOICES}, got {attribute!r}")
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        check_mode(mode)
         for name, value in (("aoi", aoi), ("distance", distance), ("obs_distance", obs_distance)):
             if value is not None and value < 0:
                 raise ValueError(f"{name} must be non-negative, got {value}")

@@ -205,8 +205,7 @@ class AssessmentContext(Checked, namedtuple(
             raise ValueError(f"age of information must be non-negative, got {aoi}")
         if obs_distance is not None and obs_distance < 0:
             raise ValueError(f"observation distance must be non-negative, got {obs_distance}")
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        check_mode(mode)
         return tuple.__new__(cls, (distance, aoi, scenario, temporal, sensor, mode, obs_distance))
 
     @property
@@ -232,6 +231,12 @@ def check_score(name: str, value: float) -> None:
     """Raise if a conditional score is outside [0, 1] or NaN."""
     if not (0.0 <= value <= 1.0):
         raise ValueError(f"{name} score {value!r} is outside [0, 1]")
+
+
+def check_mode(mode: str) -> None:
+    """Raise unless mode is one of MODES."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
 class ApplicationProfile(Checked, namedtuple("ApplicationProfile", "name timeliness proximity quality")):

@@ -816,18 +816,33 @@ HELP_CASES = (
     ("sweep", "--figure", "fig3a", "extra"),
     ("schedule", "--records", "x"),
 )
+# Not pinned: each must parse on a command's own parser as on the full tree.
+PARSE_CASES = (
+    ("sweep", "--fig", "fig3a", "--out", "X"),  # an abbreviation
+    ("weights", "--matrix", "m.json"),
+    ("assess", "--profile", "traffic", "--distance", "5", "--mode", "nonprocessed", "--obs-distance", "2"),
+    ("schedule", "--records", "r", "--receivers", "v", "--profile", "safety", "--now", "1", "--out", "o"),
+    ("presets",),
+    ("sweep", "--h"),
+    ("sweep", "--", "--figure", "fig3a"),
+    ("sweep", "--bogus", "--figure", "fig3a"),
+    ("presets", "extra"),
+    ("schedule", "--records", "r", "--receivers", "v", "--profile", "safety", "--threshold", "nan"),
+    ("weights", "--profile", "safety", "--matrix", "m.json"),
+    ("assess", "--profile", "safety", "--distance", "-1"),
+)
 # argparse wraps and quotes differently from one Python to the next.
 HELP_PYTHON = (3, 11)  # the Python that wrote data/cli_help.txt
 
 
-def help_transcript():
-    """Every HELP_CASES run, as data/cli_help.txt holds them; set COLUMNS=80 first.
+def help_transcript(cases=HELP_CASES):
+    """Every run of cases, as data/cli_help.txt holds HELP_CASES; set COLUMNS=80 first.
 
     Regenerate with: COLUMNS=80 PYTHONPATH=src:tests python -c
     "import test_cli; print(test_cli.help_transcript(), end='')" > tests/data/cli_help.txt
     """
     parts = []
-    for argv in HELP_CASES:
+    for argv in cases:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(list(argv))
@@ -843,10 +858,24 @@ def test_help_and_usage_text_is_pinned(monkeypatch):
     assert help_transcript() == (DATA_DIR / "cli_help.txt").read_text(encoding="utf-8")
 
 
-def test_each_command_prints_the_help_and_usage_of_the_full_parser(monkeypatch):
-    # On any Python: the parser main builds prints what one built for every command prints.
+def test_each_command_prints_the_help_and_usage_of_the_full_parser(monkeypatch, tmp_path):
+    # On any Python: a command's own parser prints, exits with and parses what the full tree does.
     monkeypatch.setenv("COLUMNS", "80")
-    mine = help_transcript()
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda *args: full())
-    assert mine == help_transcript()
+    monkeypatch.chdir(tmp_path)
+
+    def transcript(parse):
+        parsed = []
+
+        def recording(argv):
+            args = parse(argv)
+            parsed.append({key: value for key, value in vars(args).items() if key != "command"})
+            return args
+
+        monkeypatch.setattr(cli, "parse_args", recording)
+        return help_transcript(HELP_CASES + PARSE_CASES), parsed
+
+    mine = transcript(cli.parse_args)
+    assert mine == transcript(lambda argv: cli.build_parser().parse_args(argv))
+    assert [args["func"] for args in mine[1]] == [
+        cli.cmd_sweep, cli.cmd_weights, cli.cmd_assess, cli.cmd_schedule, cli.cmd_presets
+    ]

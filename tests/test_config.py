@@ -302,6 +302,37 @@ def test_load_records_error_reporting(tmp_path):
             assert str(info.value) == f"{target}:2: {why}"
 
 
+def test_a_leading_byte_order_mark_is_dropped(tmp_path):
+    # RFC 8259 section 8.1 lets a parser ignore one; json's columns on line 1 count from after it.
+    cfg = cfgmod.default_config()
+    record = {"id": "r1", "source": "v", "t0": 0, "d_o": 1, "temporal": 1, "sensor": "medium"}
+    path = tmp_path / "file"
+    for load, text, message in (
+        (lambda p: cfgmod.load_records(p, cfg), json.dumps(record) + "\n{oops\n",
+         ":2: invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        (lambda p: cfgmod.load_records(p, cfg), "{oops\n",
+         ":1: invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        (lambda p: cfgmod.load_receivers(p, cfg), '{"id": "a", "distance": 1, "scenario": "urban"}\n',
+         None),
+        (cfgmod.load_config, '{"defaults": {"threshold": 0.5}}', None),
+        (cfgmod.load_config, '{"defaults": {"threshold": 0.5}\n',
+         ": invalid JSON: Expecting ',' delimiter: line 2 column 1 (char 32)"),
+    ):
+        outcomes = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            path.write_bytes(bom + text.encode())
+            try:
+                outcomes.append(load(str(path)))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        expected = load(str(path)) if message is None else f"{path}{message}"
+        assert outcomes == [expected, expected]
+    path.write_bytes(b'\xef\xbb\xbf{"id": "\xff"}\n')  # a bad byte's column too
+    with pytest.raises(ValueError) as info:
+        cfgmod.load_records(str(path), cfg)
+    assert str(info.value) == f"{path}:1: not UTF-8 text: invalid start byte at column 9"
+
+
 def test_load_receivers(tmp_path):
     path = tmp_path / "receivers.jsonl"
     write_lines(

@@ -126,6 +126,9 @@ def test_filter_boundaries():
     assert [e.record_id for e in everything] == ["a", "b"] and nothing == []
     nothing, everything = scheduler.filter_broadcast(entries, make_cfg(threshold=1.0))
     assert nothing == [] and [e.record_id for e in everything] == ["a", "b"]
+    # A best value equal to the threshold reaches it, and transmits.
+    top, rest = scheduler.filter_broadcast(entries, make_cfg(threshold=entries[0].best_value))
+    assert [e.record_id for e in top] == ["a"] and [e.record_id for e in rest] == ["b"]
 
 
 def test_filter_puts_every_entry_in_exactly_one_list():

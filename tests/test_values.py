@@ -8,6 +8,11 @@ import pytest
 from voinet import ahp, scheduler, sweep, voi
 
 _SERIES = sweep.SweepSeries("s", attribute="proximity", scenario=voi.URBAN)
+_CONTEXT = dict(distance=1.0, aoi=0.0, scenario=voi.URBAN, temporal=voi.STATIC,
+                sensor=voi.SENSORS["low"], mode=voi.PROCESSED, obs_distance=None)
+_RECORD = dict(id="r", source_vehicle="v", generated_at=0.0, object_distance=1.0,
+               temporal=voi.STATIC, sensor=voi.SENSORS["low"], mode=voi.PROCESSED)
+_BAD_MODE = ("mode", "raw"), "mode must be one of ('processed', 'non_processed'), got 'raw'"
 
 # (type, every constructor argument in order, one bad field and value, its message)
 CASES = [
@@ -25,18 +30,16 @@ CASES = [
      ("decay", -1.0), "temporal decay must be non-negative, got -1.0"),
     (voi.SensorModel, dict(height=1.2, fov=70.0, resolution=640.0),
      ("height", 0.0), "sensor height must be positive, got 0.0"),
-    (voi.AssessmentContext,
-     dict(distance=1.0, aoi=0.0, scenario=voi.URBAN, temporal=voi.STATIC,
-          sensor=voi.SENSORS["low"], mode=voi.PROCESSED, obs_distance=None),
+    (voi.AssessmentContext, _CONTEXT,
      ("aoi", -1.0), "age of information must be non-negative, got -1.0"),
+    (voi.AssessmentContext, _CONTEXT, *_BAD_MODE),
     (voi.AttributeScores, dict(proximity=0.5, timeliness=0.5, quality=0.5),
      ("quality", 1.5), "quality score 1.5 is outside [0, 1]"),
     (voi.ApplicationProfile, dict(name="p", timeliness=0.2, proximity=0.3, quality=0.5),
      ("quality", 0.6), "weights sum to 1.1, expected 1"),
-    (scheduler.PerceptionRecord,
-     dict(id="r", source_vehicle="v", generated_at=0.0, object_distance=1.0,
-          temporal=voi.STATIC, sensor=voi.SENSORS["low"], mode=voi.PROCESSED),
+    (scheduler.PerceptionRecord, _RECORD,
      ("object_distance", -1.0), "object distance must be non-negative, got -1.0"),
+    (scheduler.PerceptionRecord, _RECORD, *_BAD_MODE),
     (scheduler.ReceiverView, dict(receiver_id="a", distance=1.0, scenario=voi.URBAN),
      ("distance", -1.0), "receiver distance must be non-negative, got -1.0"),
     (scheduler.SchedulerConfig,
@@ -44,6 +47,7 @@ CASES = [
      ("threshold", 1.5), "threshold must be in [0, 1], got 1.5"),
     (sweep.SweepSeries, dict(zip(sweep.SweepSeries._fields, _SERIES)),
      ("label", "a,b\nc"), "field 'label' must not hold a comma, quote or line break, got \"a,b\\nc\""),
+    (sweep.SweepSeries, dict(zip(sweep.SweepSeries._fields, _SERIES)), *_BAD_MODE),
     (sweep.SweepSpec,
      dict(variable="distance", start=0.0, stop=10.0, step=1.0, series=(_SERIES,),
           obs_grid=None, name="custom", notes=()),

@@ -38,6 +38,8 @@ def test_scenario_validation():
         voi.Scenario("tunnel", 10.0, 20.0)
     with pytest.raises(ValueError, match="positive"):
         voi.Scenario("urban", -1.0, 24.0)
+    with pytest.raises(ValueError, match=r"^safety distance must be positive, got 0\.0$"):
+        voi.Scenario("urban", 12.0, 0.0)
     # a custom kind is fine once it brings its own model
     custom = voi.Scenario("tunnel", 10.0, 20.0, los_model=lambda d: 0.5)
     assert voi.los_probability(100.0, custom) == 0.5
@@ -51,6 +53,8 @@ def test_focal_distance():
         voi.focal_distance(0.0, 70.0)
     with pytest.raises(ValueError, match="field of view"):
         voi.focal_distance(1280.0, 180.0)
+    with pytest.raises(ValueError, match=r"^field of view must be in \(0, 180\) degrees, got 0\.0$"):
+        voi.focal_distance(640.0, 0.0)
 
 
 def test_sensor_model_precomputes_focal():
