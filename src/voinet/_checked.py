@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any, Iterable
+from collections.abc import Iterable
 
 _CSV_SPECIAL = re.compile('[,"\r\n\ud800-\udfff]')
 _COMMENT_SPECIAL = re.compile('[\r\n\ud800-\udfff]')
@@ -31,10 +31,10 @@ class Checked:
     _derived = 0
 
     @classmethod
-    def _make(cls, iterable: Iterable[Any]) -> Any:
+    def _make(cls, iterable: Iterable[object]) -> object:
         return cls(*iterable)
 
-    def _replace(self, /, **changes: Any) -> Any:
+    def _replace(self, /, **changes: object) -> object:
         inputs = self._fields[: len(self._fields) - self._derived]
         result = self._make(map(changes.pop, inputs, self))
         if changes:

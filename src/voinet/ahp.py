@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import NamedTuple, Sequence
+from collections.abc import Sequence
 
 from ._checked import Checked
 
@@ -103,13 +103,11 @@ class EigenSolution(Checked, namedtuple("EigenSolution", "lambda_max weights")):
         return tuple.__new__(cls, (lambda_max, weights))
 
 
-class ConsistencyReport(NamedTuple):
-    """Consistency check of an eigensolution against the random index."""
+class ConsistencyReport(namedtuple("ConsistencyReport",
+                                   "consistency_index random_index consistency_ratio acceptable")):
+    """Consistency check of an eigensolution against the random index; ``acceptable`` is a bool."""
 
-    consistency_index: float
-    random_index: float
-    consistency_ratio: float
-    acceptable: bool
+    __slots__ = ()
 
 
 def principal_eigenvector(m: ComparisonMatrix) -> EigenSolution:

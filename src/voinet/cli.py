@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from . import ahp, config as cfgmod
@@ -44,6 +45,13 @@ def _non_negative(text: str) -> float:
     return value
 
 
+def _unit(text: str) -> float:
+    value = _finite_float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text!r}")
+    return value
+
+
 def _command(name: str, p: argparse.ArgumentParser) -> argparse.ArgumentParser:
     """p, given command name's function and arguments."""
     p.set_defaults(func=COMMANDS[name][1])
@@ -72,7 +80,7 @@ def _command(name: str, p: argparse.ArgumentParser) -> argparse.ArgumentParser:
         p.add_argument("--records", required=True, help="JSON-lines record file")
         p.add_argument("--receivers", required=True, help="JSON-lines receiver file")
         p.add_argument("--profile", required=True)
-        p.add_argument("--threshold", type=_finite_float, default=None)
+        p.add_argument("--threshold", type=_unit, default=None)
         p.add_argument(
             "--now", type=_finite_float, default=None, help="evaluation instant (default: latest t0)"
         )
@@ -87,6 +95,16 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (summary, _) in COMMANDS.items():
         _command(name, sub.add_parser(name, help=summary))
     return parser
+
+
+def _write(path: str, text: str) -> None:
+    """text written as UTF-8 to the file at path; an OSError names path, as open's own do."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        exc.filename = exc.filename or path  # a failed write or close names no file
+        raise
 
 
 def cmd_weights(args: argparse.Namespace) -> int:
@@ -139,8 +157,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         spec = cfgmod.load_sweep_spec(args.spec, cfg)
     curves = run_sweep(spec, cfg.logistic)
     out_path = args.out or f"{spec.name}.csv"
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(curves.to_csv())
+    _write(out_path, curves.to_csv())
     print(f"wrote {len(curves.xs)} rows x {len(spec.series)} series to {out_path}")
     return 0
 
@@ -182,8 +199,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         )
     body = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(body)
+        _write(args.out, body)
     elif hasattr(sys.stdout, "buffer"):  # UTF-8, as --out writes, whatever the locale
         sys.stdout.flush()
         sys.stdout.buffer.write(body.encode("utf-8"))
@@ -228,12 +244,23 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        return args.func(args)
+        try:
+            args = parse_args(argv)
+        except SystemExit as exc:  # help, or a usage error already reported
+            code = int(exc.code or 0)
+        else:
+            code = args.func(args)
+        sys.stdout.flush()  # here, not at exit, so that a failed write is reported
+        return code
     except (ValueError, OSError, RuntimeError, KeyError) as exc:
+        if isinstance(exc, OSError) and exc.filename is None:
+            # Every file voinet opens names itself (config._read, _write), so this is stdout:
+            # point it at os.devnull so that the flush at exit cannot fail again, as in
+            # https://docs.python.org/3/library/signal.html#note-on-sigpipe.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            exc = f"<stdout>: {exc}"
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,8 +13,9 @@ from __future__ import annotations
 import json
 import re
 import sys
+from collections import namedtuple
+from collections.abc import Callable, Mapping
 from functools import partial
-from typing import Any, Callable, Mapping, NamedTuple, TypeVar
 
 from . import ahp
 from ._checked import check_csv_text
@@ -46,17 +47,13 @@ MODE_ALIASES = {
 WEIGHT_SUM_TOL = 1e-6
 _LABEL_SPECIAL = re.compile("[\\s=\ud800-\udfff]")
 _FLOAT_MAX = sys.float_info.max
-_T = TypeVar("_T")
 
 
-class ConfigDocument(NamedTuple):
-    """Resolved configuration: every name maps to a constructed object."""
+class ConfigDocument(namedtuple("ConfigDocument", "profiles scenarios sensors logistic threshold",
+                                defaults=(None,))):
+    """Resolved configuration: dicts from each name to its object, and a float threshold or None."""
 
-    profiles: dict[str, ApplicationProfile]
-    scenarios: dict[str, Scenario]
-    sensors: dict[str, SensorModel]
-    logistic: LogisticParams
-    threshold: float | None = None
+    __slots__ = ()
 
 
 def default_config() -> ConfigDocument:
@@ -68,7 +65,7 @@ def default_config() -> ConfigDocument:
     )
 
 
-def parse_config(data: Any) -> ConfigDocument:
+def parse_config(data: object) -> ConfigDocument:
     if not isinstance(data, Mapping):
         raise ValueError("config must be a JSON object")
     base, tables = default_config(), {}
@@ -108,20 +105,29 @@ def _text(path: str, data: bytes, line: int = 1) -> str:
         raise ValueError(f"{path}:{line}: not UTF-8 text: {exc.reason} at column {column}") from None
 
 
-def _json(text: str) -> Any:
+def _read(path: str) -> bytes:
+    """The bytes of the file at path; an OSError names path, as open's own do."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        exc.filename = exc.filename or path  # a failed read names no file
+        raise
+
+
+def _json(text: str) -> object:
     try:
         return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValueError(f"invalid JSON: {exc}") from None
 
 
-def read_json(path: str) -> Any:
+def read_json(path: str) -> object:
     """Parse one JSON file, naming the file if it is not valid JSON.
 
     CRLF and CR read as LF, as in text mode, so json's positions count lines alike.
     """
-    with open(path, "rb") as fh:
-        text = _text(path, fh.read()).replace("\r\n", "\n").replace("\r", "\n")
+    text = _text(path, _read(path)).replace("\r\n", "\n").replace("\r", "\n")
     return _at(path, _json, text)
 
 
@@ -134,7 +140,7 @@ def load_matrix(path: str) -> ahp.ComparisonMatrix:
     return _at(path, parse_matrix, read_json(path))
 
 
-def _at(where: str, build: Callable[..., _T], *args: Any) -> _T:
+def _at(where: str, build: Callable[..., object], *args: object) -> object:
     """build(*args), with where (a file, line, entry or field) put in front of its ValueError."""
     try:
         return build(*args)
@@ -142,19 +148,19 @@ def _at(where: str, build: Callable[..., _T], *args: Any) -> _T:
         raise ValueError(f"{where}: {exc}") from None
 
 
-def _is_finite_number(value: Any) -> bool:
+def _is_finite_number(value: object) -> bool:
     # The exact type test keeps out bool, an int subclass; int/float comparison
     # is exact, so NaN, +-Infinity and ints too large for a float all fail.
     return type(value) in (int, float) and -_FLOAT_MAX <= value <= _FLOAT_MAX
 
 
-def _require(obj: Mapping[str, Any], key: str) -> Any:
+def _require(obj: Mapping[str, object], key: str) -> object:
     if key not in obj:
         raise ValueError(f"missing field {key!r}")
     return obj[key]
 
 
-def _number(obj: Mapping[str, Any], key: str, default: float | None = None) -> float:
+def _number(obj: Mapping[str, object], key: str, default: float | None = None) -> float:
     """obj[key] as a finite float."""
     value = obj.get(key, default)
     # _is_finite_number's test, inlined because loaders call this per line.
@@ -164,7 +170,7 @@ def _number(obj: Mapping[str, Any], key: str, default: float | None = None) -> f
     raise ValueError(f"field {key!r} must be a finite number, got {json.dumps(value)}")
 
 
-def _string(obj: Mapping[str, Any], key: str, default: str | None = None) -> str:
+def _string(obj: Mapping[str, object], key: str, default: str | None = None) -> str:
     """obj[key], which must be a JSON string."""
     value = obj.get(key, default)
     if type(value) is str:
@@ -173,14 +179,14 @@ def _string(obj: Mapping[str, Any], key: str, default: str | None = None) -> str
     raise ValueError(f"field {key!r} must be a JSON string, got {json.dumps(value)}")
 
 
-def _section(data: Mapping[str, Any], key: str) -> Mapping[str, Any]:
+def _section(data: Mapping[str, object], key: str) -> Mapping[str, object]:
     value = data.get(key, {})
     if not isinstance(value, Mapping):
         raise ValueError(f"config section {key!r} must be an object, got {type(value).__name__}")
     return value
 
 
-def _parse_profile(name: str, obj: Mapping[str, Any]) -> ApplicationProfile:
+def _parse_profile(name: str, obj: Mapping[str, object]) -> ApplicationProfile:
     if "weights" in obj:
         weights = obj["weights"]
         if not isinstance(weights, Mapping) or set(weights) != set(ATTRIBUTES):
@@ -199,7 +205,7 @@ def _parse_profile(name: str, obj: Mapping[str, Any]) -> ApplicationProfile:
     raise ValueError("needs either weights or matrix")
 
 
-def parse_matrix(data: Any) -> ahp.ComparisonMatrix:
+def parse_matrix(data: object) -> ahp.ComparisonMatrix:
     """A comparison matrix from a list of rows, or an object with 'matrix' and 'labels'.
 
     Labels default to ATTRIBUTES for a 3x3 matrix and to c1..cn otherwise.
@@ -229,7 +235,7 @@ def parse_matrix(data: Any) -> ahp.ComparisonMatrix:
     return ahp.ComparisonMatrix(tuple(labels), entries)
 
 
-def _parse_scenario(name: str, obj: Mapping[str, Any]) -> Scenario:
+def _parse_scenario(name: str, obj: Mapping[str, object]) -> Scenario:
     kind = _string(obj, "kind", name)
     if "v_max" not in obj and "safety_distance" not in obj:
         raise ValueError("needs v_max and/or safety_distance")
@@ -239,13 +245,13 @@ def _parse_scenario(name: str, obj: Mapping[str, Any]) -> Scenario:
     return Scenario.from_speed_limit(kind, _number(obj, "v_max"))
 
 
-def _parse_sensor(name: str, obj: Mapping[str, Any]) -> SensorModel:
+def _parse_sensor(name: str, obj: Mapping[str, object]) -> SensorModel:
     return SensorModel(
         _number(obj, "height", 1.2), _number(obj, "fov", 70.0), _number(obj, "resolution")
     )
 
 
-def _parse_logistic(obj: Mapping[str, Any]) -> LogisticParams:
+def _parse_logistic(obj: Mapping[str, object]) -> LogisticParams:
     unknown = set(obj) - set(LogisticParams._fields)
     if unknown:
         raise ValueError(
@@ -254,7 +260,7 @@ def _parse_logistic(obj: Mapping[str, Any]) -> LogisticParams:
     return DEFAULT_LOGISTIC._replace(**{k: _number(obj, k) for k in obj})
 
 
-def resolve_mode(raw: Any) -> str:
+def resolve_mode(raw: object) -> str:
     if not isinstance(raw, str):
         raise ValueError(f"mode must be a JSON string, got {json.dumps(raw)}")
     try:
@@ -263,14 +269,14 @@ def resolve_mode(raw: Any) -> str:
         raise ValueError(f"unknown mode {raw!r}; expected one of {sorted(MODE_ALIASES)}") from None
 
 
-def resolve_name(table: Mapping[str, Any], name: str, kind: str) -> Any:
+def resolve_name(table: Mapping[str, object], name: str, kind: str) -> object:
     try:
         return table[name]
     except KeyError:
         raise ValueError(f"unknown {kind} {name!r}; known: {sorted(table)}") from None
 
 
-def parse_temporal(obj: Mapping[str, Any]):
+def parse_temporal(obj: Mapping[str, object]):
     """The object's "temporal" field: a class name or a decay rate."""
     raw = _require(obj, "temporal")
     if isinstance(raw, str):
@@ -281,18 +287,16 @@ def parse_temporal(obj: Mapping[str, Any]):
 _decode = json.JSONDecoder().raw_decode
 
 
-def _read_jsonl(path: str, kind: str, parse: Callable[[dict], _T]) -> list[_T]:
+def _read_jsonl(path: str, kind: str, parse: Callable[[dict], object]) -> list:
     """parse(obj) for each non-blank line's JSON object, each with a new id; errors name file:line.
 
     Lines end at LF, CRLF or CR, as in text mode, and are decoded one by one,
     so that errors come in line order.
     """
     items, first_line = [], {}
-    with open(path, "rb") as fh:
-        data = fh.read()
     # Not str.splitlines: it also splits at \x0c, U+2028 and more. A line keeps its end, which
     # ends a cut-off UTF-8 sequence as in the whole file, so the reason reads alike.
-    for lineno, raw in enumerate(data.splitlines(keepends=True), 1):
+    for lineno, raw in enumerate(_read(path).splitlines(keepends=True), 1):
         line = _text(path, raw, lineno)
         if line.isspace():
             continue
@@ -356,10 +360,10 @@ def load_receivers(path: str, cfg: ConfigDocument) -> list[ReceiverView]:
     return _read_jsonl(path, "receiver", partial(_parse_receiver, cfg))
 
 
-def _parse_series(obj: Any, cfg: ConfigDocument) -> SweepSeries:
+def _parse_series(obj: object, cfg: ConfigDocument) -> SweepSeries:
     if not isinstance(obj, Mapping):
         raise ValueError("a series must be a JSON object")
-    kwargs: dict[str, Any] = {"label": _string(obj, "label")}
+    kwargs: dict[str, object] = {"label": _string(obj, "label")}
     for key, table in (("profile", cfg.profiles), ("scenario", cfg.scenarios), ("sensor", cfg.sensors)):
         if key in obj:
             kwargs[key] = resolve_name(table, _string(obj, key), key)
@@ -375,7 +379,7 @@ def _parse_series(obj: Any, cfg: ConfigDocument) -> SweepSeries:
     return SweepSeries(**kwargs)
 
 
-def _parse_sweep_spec(data: Any, cfg: ConfigDocument) -> SweepSpec:
+def _parse_sweep_spec(data: object, cfg: ConfigDocument) -> SweepSpec:
     if not isinstance(data, dict):
         raise ValueError("sweep spec must be a JSON object")
     for key in ("variable", "start", "stop", "step", "series"):

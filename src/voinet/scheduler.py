@@ -14,8 +14,8 @@ always produce the same ordering.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Sequence
 from operator import attrgetter
-from typing import NamedTuple, Sequence
 
 from . import voi
 from ._checked import Checked
@@ -60,15 +60,13 @@ class SchedulerConfig(Checked, namedtuple("SchedulerConfig", "profile threshold 
         return tuple.__new__(cls, (profile, threshold, now, params))
 
 
-class RankedEntry(NamedTuple):
-    """One record's best value over the receivers and the receiver reaching it.
+class RankedEntry(namedtuple("RankedEntry", "record_id best_value best_receiver")):
+    """One record's best value (a float) over the receivers and the receiver (its id) reaching it.
 
     Among receivers of equal value the smallest receiver id wins.
     """
 
-    record_id: str
-    best_value: float
-    best_receiver: str
+    __slots__ = ()
 
 
 def _age(record: PerceptionRecord, now: float) -> float:
@@ -146,7 +144,7 @@ def rank(
     _reject_duplicates([v.receiver_id for v in receivers], "receiver")
     _reject_duplicates([r.id for r in records], "record")
     groups = _proximity_groups(receivers, cfg)
-    # Fields bound once: a NamedTuple field read costs more than a local. The
+    # Fields bound once: a namedtuple field read costs more than a local. The
     # sum is ApplicationProfile.overall's, term for term, so values stay
     # bitwise equal to score_record's.
     now = cfg.now

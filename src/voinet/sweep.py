@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from io import StringIO
-from typing import NamedTuple
 
 from ._checked import Checked, check_csv_text
 from .voi import (
@@ -152,12 +151,10 @@ class SweepSpec(Checked, namedtuple("SweepSpec", "variable start stop step serie
         return tuple(self.start + i * self.step for i in range(self.points))
 
 
-class CurveSet(NamedTuple):
-    """Evaluated sweep: the grid and one value tuple per series."""
+class CurveSet(namedtuple("CurveSet", "spec xs curves")):
+    """Evaluated sweep of a SweepSpec: the grid xs and one tuple of floats per series in curves."""
 
-    spec: SweepSpec
-    xs: tuple[float, ...]
-    curves: tuple[tuple[float, ...], ...]
+    __slots__ = ()
 
     def values(self, label: str) -> tuple[float, ...]:
         for series, curve in zip(self.spec.series, self.curves):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Callable
+from collections.abc import Callable
 
 from . import ahp
 from ._checked import Checked

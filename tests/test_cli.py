@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import errno
 import io
 import json
 import os
@@ -233,6 +234,19 @@ def test_float_flags_must_be_finite(capsys, tmp_path):
             assert code == 1 and out == ""
             assert f"argument {flag}: must be a finite number, got '{bad}'" in err
             assert "Traceback" not in err
+
+
+def test_threshold_flag_must_be_in_the_unit_range(capsys, tmp_path):
+    rec, rcv = schedule_files(
+        tmp_path, [base_record("r", 10.0)], [{"id": "a", "distance": 100.0, "scenario": "urban"}],
+    )
+    schedule = ["schedule", "--records", rec, "--receivers", rcv, "--profile", "safety"]
+    for bad in ("1.5", "-0.1"):
+        code, out, err = run_cli(capsys, *schedule, f"--threshold={bad}")
+        assert code == 1 and out == ""
+        assert f"argument --threshold: must be in [0, 1], got '{bad}'" in err
+    for edge in ("0", "1"):
+        assert run_cli(capsys, *schedule, f"--threshold={edge}")[0] == 0
 
 
 def test_sweep_preset_is_byte_deterministic(capsys, tmp_path):
@@ -670,6 +684,54 @@ def test_files_are_read_and_written_as_utf8_under_the_c_locale(tmp_path):
         assert (run.returncode, run.stderr) == (0, b"")
         rows = (out_path.read_bytes() if out else run.stdout).splitlines()
         assert rows[1].startswith("1,café,ü,".encode("utf-8")) and rows[1].endswith(b",transmit")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_output_that_cannot_be_written_exits_1_and_names_its_sink(tmp_path, unbuffered):
+    # A real process: with buffered stdout the last write happens in the flush at exit.
+    rec, rcv = schedule_files(
+        tmp_path, [base_record("r", 10.0)], [{"id": "a", "distance": 50.0, "scenario": "urban"}],
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    schedule = ["schedule", "--records", rec, "--receivers", rcv, "--profile", "safety",
+                "--threshold", "0.5"]
+    commands = [
+        ["presets"], ["weights", "--profile", "safety"],
+        ["assess", "--profile", "safety", "--distance", "5"],
+        ["sweep", "--figure", "fig3a", "--out", str(tmp_path / "fig3a.csv")], schedule,
+    ]
+    full = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    broken = f"[Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}"
+    read_end, pipe = os.pipe()
+    os.close(read_end)  # before any child starts, so every write to the pipe fails
+    with open("/dev/full", "wb") as dev_full:
+        cases = [(argv, dev_full, f"<stdout>: {full}") for argv in commands]
+        cases += [(argv, pipe, f"<stdout>: {broken}") for argv in commands]
+        cases += [([*argv, "--out", "/dev/full"], subprocess.PIPE, f"{full}: '/dev/full'")
+                  for argv in (["sweep", "--figure", "fig3a"], schedule)]
+        try:
+            for argv, stdout, message in cases:
+                run = subprocess.run([sys.executable, "-m", "voinet.cli", *argv], env=env,
+                                     stdout=stdout, stderr=subprocess.PIPE, text=True)
+                assert (run.returncode, run.stderr) == (1, f"error: {message}\n"), argv
+        finally:
+            os.close(pipe)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/mem"), reason="needs /proc/self/mem")
+def test_a_file_that_cannot_be_read_is_named(capsys, tmp_path):
+    # Reading /proc/self/mem at offset 0, which no process maps, fails once open has succeeded.
+    _, rcv = schedule_files(tmp_path, [], [{"id": "a", "distance": 50.0, "scenario": "urban"}])
+    unreadable = f"[Errno {errno.EIO}] {os.strerror(errno.EIO)}: '/proc/self/mem'"
+    for argv in (["assess", "--profile", "safety", "--distance", "1", "--config"],
+                 ["schedule", "--receivers", rcv, "--profile", "safety", "--records"]):
+        code, out, err = run_cli(capsys, *argv, "/proc/self/mem")
+        assert (code, out, err) == (1, "", f"error: {unreadable}\n")
 
 
 def test_undecodable_bytes_are_located(capsys, tmp_path):

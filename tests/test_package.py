@@ -27,3 +27,13 @@ def test_the_cli_imports_no_numpy():
         env=env, capture_output=True, text=True, check=True,
     )
     assert probe.stdout.strip() == ""
+
+
+def test_the_cli_imports_no_typing_in_a_clean_interpreter():
+    # -S keeps site, and the .pth files some installs carry, from loading typing first.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    probe = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, voinet.cli; print('typing' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert probe.stdout == "False\n"
