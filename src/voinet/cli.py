@@ -26,6 +26,10 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
+    def print_help(self, file=None) -> None:
+        # argparse's own swallows a failed write (Python 3.11+); this lets main name <stdout>.
+        (file or sys.stdout).write(self.format_help())
+
 
 def _finite_float(text: str) -> float:
     """argparse type: a float that is neither NaN nor infinite."""
@@ -105,9 +109,11 @@ def _write(path: str, text: str) -> None:
     except OSError as exc:
         exc.filename = exc.filename or path  # a failed write or close names no file
         raise
+    except UnicodeEncodeError as exc:  # path holds what the file system encoding cannot
+        raise ValueError(f"{path}: {exc}") from None
 
 
-def cmd_weights(args: argparse.Namespace) -> int:
+def cmd_weights(args: argparse.Namespace) -> tuple[int, str]:
     if args.profile is not None:
         matrix = cfgmod.resolve_name(BUILTIN_MATRICES, args.profile, "comparison matrix")
         source = args.profile
@@ -117,18 +123,19 @@ def cmd_weights(args: argparse.Namespace) -> int:
 
     solution = ahp.principal_eigenvector(matrix)
     report = cfgmod._at(source, ahp.consistency, solution, matrix.n)  # no random index for the size
-    print(f"matrix: {source} ({matrix.n}x{matrix.n})")
     pairs = " ".join(f"{label}={w:.6f}" for label, w in zip(matrix.labels, solution.weights))
-    print(f"weights: {pairs}")
-    print(f"lambda_max: {solution.lambda_max:.6f}")
-    print(f"consistency_index: {report.consistency_index:.6f}")
-    print(f"random_index: {report.random_index:g}")
-    print(f"consistency_ratio: {report.consistency_ratio:.6f}")
-    print(f"acceptable: {'yes' if report.acceptable else 'no'}")
-    return 0 if report.acceptable else 2
+    return (0 if report.acceptable else 2), (
+        f"matrix: {source} ({matrix.n}x{matrix.n})\n"
+        f"weights: {pairs}\n"
+        f"lambda_max: {solution.lambda_max:.6f}\n"
+        f"consistency_index: {report.consistency_index:.6f}\n"
+        f"random_index: {report.random_index:g}\n"
+        f"consistency_ratio: {report.consistency_ratio:.6f}\n"
+        f"acceptable: {'yes' if report.acceptable else 'no'}\n"
+    )
 
 
-def cmd_assess(args: argparse.Namespace) -> int:
+def cmd_assess(args: argparse.Namespace) -> tuple[int, str]:
     cfg = cfgmod.load_config(args.config)
     ctx = AssessmentContext(
         distance=args.distance,
@@ -142,14 +149,13 @@ def cmd_assess(args: argparse.Namespace) -> int:
     profile = cfgmod.resolve_name(cfg.profiles, args.profile, "profile")
     scores = attribute_scores(ctx, cfg.logistic)
     overall = profile.overall(scores.timeliness, scores.proximity, scores.quality)
-    print(
+    return 0, (
         f"overall={overall:.6f} proximity={scores.proximity:.6f} "
-        f"timeliness={scores.timeliness:.6f} quality={scores.quality:.6f}"
+        f"timeliness={scores.timeliness:.6f} quality={scores.quality:.6f}\n"
     )
-    return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: argparse.Namespace) -> tuple[int, str]:
     cfg = cfgmod.load_config(args.config)
     if args.figure is not None:
         spec = figure_preset(args.figure)
@@ -158,11 +164,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     curves = run_sweep(spec, cfg.logistic)
     out_path = args.out or f"{spec.name}.csv"
     _write(out_path, curves.to_csv())
-    print(f"wrote {len(curves.xs)} rows x {len(spec.series)} series to {out_path}")
-    return 0
+    return 0, f"wrote {len(curves.xs)} rows x {len(spec.series)} series to {out_path}\n"
 
 
-def cmd_schedule(args: argparse.Namespace) -> int:
+def cmd_schedule(args: argparse.Namespace) -> tuple[int, str]:
     cfg = cfgmod.load_config(args.config)
     records = cfgmod.load_records(args.records, cfg)
     receivers = cfgmod.load_receivers(args.receivers, cfg)
@@ -198,25 +203,19 @@ def cmd_schedule(args: argparse.Namespace) -> int:
             f"{entry.best_value:.6g},{decision}"
         )
     body = "\n".join(lines) + "\n"
+    summary = f"transmit={len(transmit)} cancelled={len(cancelled)}\n"
     if args.out:
         _write(args.out, body)
-    elif hasattr(sys.stdout, "buffer"):  # UTF-8, as --out writes, whatever the locale
-        sys.stdout.flush()
-        sys.stdout.buffer.write(body.encode("utf-8"))
-    else:  # a text-only stream, such as io.StringIO
-        sys.stdout.write(body)
-    print(f"transmit={len(transmit)} cancelled={len(cancelled)}")
-    return 0
+        return 0, summary
+    return 0, body + summary
 
 
-def cmd_presets(args: argparse.Namespace) -> int:
-    for name in preset_names():
-        spec = figure_preset(name)
-        print(
-            f"{name}: {len(spec.series)} series over {spec.variable} "
-            f"{spec.start:g}..{spec.stop:g} step {spec.step:g}"
-        )
-    return 0
+def cmd_presets(args: argparse.Namespace) -> tuple[int, str]:
+    return 0, "".join(
+        f"{spec.name}: {len(spec.series)} series over {spec.variable} "
+        f"{spec.start:g}..{spec.stop:g} step {spec.step:g}\n"
+        for spec in map(figure_preset, preset_names())
+    )
 
 
 COMMANDS = {  # name: (summary, function)
@@ -248,8 +247,12 @@ def main(argv: list[str] | None = None) -> int:
             args = parse_args(argv)
         except SystemExit as exc:  # help, or a usage error already reported
             code = int(exc.code or 0)
-        else:
-            code = args.func(args)
+        else:  # stdout's one write: UTF-8 whatever the locale, in which argv's bytes round-trip
+            code, text = args.func(args)
+            if hasattr(sys.stdout, "buffer"):
+                sys.stdout.buffer.write(text.encode("utf-8", "surrogateescape"))
+            else:  # a text-only stream, such as io.StringIO
+                sys.stdout.write(text)
         sys.stdout.flush()  # here, not at exit, so that a failed write is reported
         return code
     except (ValueError, OSError, RuntimeError, KeyError) as exc:

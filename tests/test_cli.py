@@ -665,25 +665,69 @@ def test_logistic_params_outside_the_unit_range_are_located(capsys, tmp_path):
         assert not out_path.exists()
 
 
+C_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+def run_process(argv, env=None, **kwargs):
+    """voinet argv in a fresh interpreter on this tree's src, os.environ updated by env.
+
+    A key that env maps to None is unset.
+    """
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    full = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    full.update(env or {})
+    full = {key: value for key, value in full.items() if value is not None}
+    return subprocess.run([sys.executable, "-m", "voinet.cli", *argv], env=full, **kwargs)
+
+
 def test_files_are_read_and_written_as_utf8_under_the_c_locale(tmp_path):
     rec, rcv = schedule_files(tmp_path, [], [{"id": "ü", "distance": 50.0, "scenario": "urban"}])
     record = json.dumps(base_record("café", 10.0), ensure_ascii=False)  # raw UTF-8, not \u00e9
     Path(rec).write_text(record + "\n", encoding="utf-8")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(
-        os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
-        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-    )
     out_path = tmp_path / "decisions.csv"
     for out in (["--out", str(out_path)], []):  # the CSV to a file, then to stdout
-        run = subprocess.run(
-            [sys.executable, "-m", "voinet.cli", "schedule", "--records", rec, "--receivers", rcv,
-             "--profile", "safety", "--threshold", "0.5", "--now", "0", *out],
-            env=env, capture_output=True,
+        run = run_process(
+            ["schedule", "--records", rec, "--receivers", rcv, "--profile", "safety",
+             "--threshold", "0.5", "--now", "0", *out],
+            env=C_LOCALE, capture_output=True,
         )
         assert (run.returncode, run.stderr) == (0, b"")
         rows = (out_path.read_bytes() if out else run.stdout).splitlines()
         assert rows[1].startswith("1,café,ü,".encode("utf-8")) and rows[1].endswith(b",transmit")
+    # The file system encoding is ASCII here, so open() cannot name a sweep's "café.csv".
+    spec = {"name": "café", "variable": "distance", "start": 0, "stop": 100, "step": 50,
+            "series": [{"label": "p", "attribute": "proximity", "scenario": "urban"}]}
+    (tmp_path / "spec.json").write_text(json.dumps(spec, ensure_ascii=False), encoding="utf-8")
+    run = run_process(["sweep", "--spec", "spec.json"], env=C_LOCALE, cwd=tmp_path, capture_output=True)
+    assert (run.returncode, run.stdout) == (1, b"")
+    assert run.stderr == (b"error: caf\\xe9.csv: 'ascii' codec can't encode character '\\xe9' "
+                          b"in position 3: ordinal not in range(128)\n")
+    assert not any(path.suffix == ".csv" and path != out_path for path in tmp_path.iterdir())
+
+
+def test_stdout_does_not_depend_on_the_locale(tmp_path):
+    # Every command writes its stdout, and its files, as UTF-8.
+    matrix = {"labels": ["café", "b"], "matrix": [[1, 2], [0.5, 1]]}
+    (tmp_path / "m.json").write_text(json.dumps(matrix, ensure_ascii=False), encoding="utf-8")
+    spec = {"name": "s", "variable": "distance", "start": 0, "stop": 100, "step": 50,
+            "series": [{"label": "prox·ü", "attribute": "proximity", "scenario": "urban"}]}
+    (tmp_path / "spec.json").write_text(json.dumps(spec, ensure_ascii=False), encoding="utf-8")
+    for argv, shows in (
+        (["presets"], b"fig2a: 2 series over "),
+        (["weights", "--profile", "safety"], b"acceptable: yes\n"),
+        (["weights", "--matrix", "m.json"], "weights: café=0.666667 b=0.333333\n".encode("utf-8")),
+        (["assess", "--profile", "safety", "--distance", "5"], b"overall="),
+        (["sweep", "--spec", "spec.json"], b"wrote 3 rows x 1 series to s.csv\n"),
+    ):
+        runs = []
+        for env in (C_LOCALE, {"LC_ALL": "C.UTF-8"}):
+            run = run_process(argv, env=env, cwd=tmp_path, capture_output=True)
+            csv = (tmp_path / "s.csv").read_bytes() if argv[0] == "sweep" else None
+            runs.append((run.returncode, run.stdout, run.stderr, csv))
+        assert runs[0] == runs[1], argv
+        code, stdout, stderr, _ = runs[0]
+        assert (code, stderr) == (0, b"") and shows in stdout, argv
+    assert "x,prox·ü\n".encode("utf-8") in (tmp_path / "s.csv").read_bytes()
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -693,15 +737,11 @@ def test_output_that_cannot_be_written_exits_1_and_names_its_sink(tmp_path, unbu
     rec, rcv = schedule_files(
         tmp_path, [base_record("r", 10.0)], [{"id": "a", "distance": 50.0, "scenario": "urban"}],
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    env.update(PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
+    env = {"PYTHONUNBUFFERED": "1" if unbuffered else None}
     schedule = ["schedule", "--records", rec, "--receivers", rcv, "--profile", "safety",
                 "--threshold", "0.5"]
-    commands = [
-        ["presets"], ["weights", "--profile", "safety"],
+    commands = [  # help too: argparse's own print_help swallows the error on Python 3.11+
+        ["--help"], ["sweep", "--help"], ["presets"], ["weights", "--profile", "safety"],
         ["assess", "--profile", "safety", "--distance", "5"],
         ["sweep", "--figure", "fig3a", "--out", str(tmp_path / "fig3a.csv")], schedule,
     ]
@@ -716,8 +756,7 @@ def test_output_that_cannot_be_written_exits_1_and_names_its_sink(tmp_path, unbu
                   for argv in (["sweep", "--figure", "fig3a"], schedule)]
         try:
             for argv, stdout, message in cases:
-                run = subprocess.run([sys.executable, "-m", "voinet.cli", *argv], env=env,
-                                     stdout=stdout, stderr=subprocess.PIPE, text=True)
+                run = run_process(argv, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True)
                 assert (run.returncode, run.stderr) == (1, f"error: {message}\n"), argv
         finally:
             os.close(pipe)
