@@ -250,6 +250,7 @@ def main(argv: list[str] | None = None) -> int:
         else:  # stdout's one write: UTF-8 whatever the locale, in which argv's bytes round-trip
             code, text = args.func(args)
             if hasattr(sys.stdout, "buffer"):
+                sys.stdout.flush()  # text a caller printed before main goes out first
                 sys.stdout.buffer.write(text.encode("utf-8", "surrogateescape"))
             else:  # a text-only stream, such as io.StringIO
                 sys.stdout.write(text)

@@ -730,6 +730,16 @@ def test_stdout_does_not_depend_on_the_locale(tmp_path):
     assert "x,prox·ü\n".encode("utf-8") in (tmp_path / "s.csv").read_bytes()
 
 
+def test_text_a_caller_printed_before_main_comes_first():
+    # A block-buffered pipe: the caller's text waits in sys.stdout while main writes bytes.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    code = "print('caller'); from voinet.cli import main; main(['presets'])"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
+    assert run.stdout.startswith(b"caller\nfig2a: ")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("unbuffered", [False, True])
 def test_output_that_cannot_be_written_exits_1_and_names_its_sink(tmp_path, unbuffered):

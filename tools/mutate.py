@@ -12,7 +12,6 @@ survives when they pass. Survivors are printed as path:line: change. Mutants lef
 when the time budget runs out are counted as not run.
 
     python tools/mutate.py src/voinet/cli.py --tests tests/test_cli.py --budget 600
-    python tools/mutate.py src/voinet/cli.py --list
 
 Not part of the test suite: it runs the suite once per mutant, for minutes.
 """
@@ -91,15 +90,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("module", help="source file to mutate, relative to the repository root")
     parser.add_argument("--tests", nargs="+", default=["tests"], help="pytest arguments (default: tests)")
     parser.add_argument("--budget", type=float, default=1800.0, help="seconds for all mutants")
-    parser.add_argument("--list", action="store_true", help="list the mutants, run nothing")
     args = parser.parse_args(argv)
 
     module = Path(args.module)
     found = mutants((ROOT / module).read_text(encoding="utf-8"))
-    if args.list:
-        for line, description, _ in found:
-            print(f"{module}:{line}: {description}")
-        return 0
 
     with tempfile.TemporaryDirectory(prefix="mutate-") as work:
         copy = Path(work) / "repo"
