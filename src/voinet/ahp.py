@@ -62,11 +62,7 @@ class ComparisonMatrix(Checked, namedtuple("ComparisonMatrix", "labels entries")
         entries = tuple(tuple(float(v) for v in row) for row in entries)
         lengths = [len(row) for row in entries]
         if lengths != [n] * n:
-            if len(set(lengths)) == 1:
-                got = f"shape {(len(entries), lengths[0])}"
-            else:
-                got = f"row lengths {lengths}"
-            raise ValueError(f"expected a {n}x{n} matrix, got {got}")
+            raise ValueError(f"expected a {n}x{n} matrix, got row lengths {lengths}")
         for j in range(n):
             if entries[j][j] != 1.0:
                 raise ValueError(f"diagonal entry for {labels[j]!r} is {entries[j][j]}, must be 1")
@@ -138,8 +134,8 @@ def _dot(u: Sequence[float], v: Sequence[float]) -> float:
     return sum(a * b for a, b in zip(u, v))
 
 
-def consistency(sol: EigenSolution, n: int) -> ConsistencyReport:
-    """Consistency index and ratio of an eigensolution for size n.
+def consistency(sol: EigenSolution) -> ConsistencyReport:
+    """Consistency index and ratio of an eigensolution; n is its number of weights.
 
     The ratio compares the consistency index (lambda_max - n)/(n - 1)
     against the random index for n; matrices with a ratio below 0.1 are
@@ -148,6 +144,7 @@ def consistency(sol: EigenSolution, n: int) -> ConsistencyReport:
     Raises:
         ValueError: if no random-index entry exists for n.
     """
+    n = len(sol.weights)
     if n not in RANDOM_INDEX:
         raise ValueError(
             f"no random consistency index for n={n}; supported sizes are "

@@ -109,7 +109,7 @@ def _write(path: str, text: str) -> None:
     except OSError as exc:
         exc.filename = exc.filename or path  # a failed write or close names no file
         raise
-    except UnicodeEncodeError as exc:  # path holds what the file system encoding cannot
+    except ValueError as exc:  # path holds a null byte, or what the file system encoding cannot
         raise ValueError(f"{path}: {exc}") from None
 
 
@@ -122,7 +122,7 @@ def cmd_weights(args: argparse.Namespace) -> tuple[int, str]:
         source = args.matrix
 
     solution = ahp.principal_eigenvector(matrix)
-    report = cfgmod._at(source, ahp.consistency, solution, matrix.n)  # no random index for the size
+    report = cfgmod._at(source, ahp.consistency, solution)  # no random index for the size
     pairs = " ".join(f"{label}={w:.6f}" for label, w in zip(matrix.labels, solution.weights))
     return (0 if report.acceptable else 2), (
         f"matrix: {source} ({matrix.n}x{matrix.n})\n"
@@ -143,7 +143,7 @@ def cmd_assess(args: argparse.Namespace) -> tuple[int, str]:
         scenario=cfgmod.resolve_name(cfg.scenarios, args.scenario, "scenario"),
         temporal=temporal_from_decay(args.ptd),
         sensor=cfgmod.resolve_name(cfg.sensors, args.sensor, "sensor"),
-        mode=cfgmod.resolve_mode(args.mode),
+        mode=cfgmod.MODE_ALIASES[args.mode],  # argparse has checked it against choices
         obs_distance=args.obs_distance,
     )
     profile = cfgmod.resolve_name(cfg.profiles, args.profile, "profile")

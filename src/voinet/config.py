@@ -220,11 +220,8 @@ def parse_matrix(data: object) -> ahp.ComparisonMatrix:
         isinstance(row, list) and all(_is_finite_number(v) for v in row) for row in entries
     ):
         raise ValueError("the matrix must be a list of rows of finite numbers")
-    n = len(entries)
-    for i, row in enumerate(entries, 1):
-        if len(row) != n:
-            raise ValueError(f"row {i} has {len(row)} entries, expected {n}")
     if labels is None:
+        n = len(entries)
         labels = ATTRIBUTES if n == 3 else tuple(f"c{i + 1}" for i in range(n))
     elif not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
         raise ValueError("labels must be a list of strings")
@@ -258,15 +255,6 @@ def _parse_logistic(obj: Mapping[str, object]) -> LogisticParams:
             f"unknown logistic parameters {sorted(unknown)}; known: {list(LogisticParams._fields)}"
         )
     return DEFAULT_LOGISTIC._replace(**{k: _number(obj, k) for k in obj})
-
-
-def resolve_mode(raw: object) -> str:
-    if not isinstance(raw, str):
-        raise ValueError(f"mode must be a JSON string, got {json.dumps(raw)}")
-    try:
-        return MODE_ALIASES[raw]
-    except KeyError:
-        raise ValueError(f"unknown mode {raw!r}; expected one of {sorted(MODE_ALIASES)}") from None
 
 
 def resolve_name(table: Mapping[str, object], name: str, kind: str) -> object:
@@ -329,7 +317,7 @@ def _parse_record(cfg: ConfigDocument, resolved: dict, obj: dict) -> PerceptionR
     tail = resolved.get(key) if cacheable else None
     if tail is None:
         tail = (parse_temporal(obj), resolve_name(cfg.sensors, _string(obj, "sensor"), "sensor"),
-                _at("field 'mode'", resolve_mode, mode))
+                _at("field 'mode'", resolve_name, MODE_ALIASES, _string(obj, "mode", PROCESSED), "mode"))
         if cacheable:
             resolved[key] = tail
     try:
@@ -370,7 +358,7 @@ def _parse_series(obj: object, cfg: ConfigDocument) -> SweepSeries:
     if "temporal" in obj:
         kwargs["temporal"] = parse_temporal(obj)
     if "mode" in obj:
-        kwargs["mode"] = _at("field 'mode'", resolve_mode, obj["mode"])
+        kwargs["mode"] = _at("field 'mode'", resolve_name, MODE_ALIASES, _string(obj, "mode"), "mode")
     if "attribute" in obj:
         kwargs["attribute"] = _string(obj, "attribute")
     for key in ("aoi", "distance", "obs_distance"):
@@ -382,20 +370,16 @@ def _parse_series(obj: object, cfg: ConfigDocument) -> SweepSeries:
 def _parse_sweep_spec(data: object, cfg: ConfigDocument) -> SweepSpec:
     if not isinstance(data, dict):
         raise ValueError("sweep spec must be a JSON object")
-    for key in ("variable", "start", "stop", "step", "series"):
-        if key not in data:
-            raise ValueError(f"sweep spec needs {key!r}")
-    notes = data.get("notes", [])
-    if not isinstance(data["series"], list) or not isinstance(notes, list):
+    # Read in this order, so the first missing of them is the one reported.
+    grid = _string(data, "variable"), _number(data, "start"), _number(data, "stop"), _number(data, "step")
+    series, notes = _require(data, "series"), data.get("notes", [])
+    if not isinstance(series, list) or not isinstance(notes, list):
         raise ValueError("fields 'series' and 'notes' must be JSON lists")
     if not all(type(note) is str for note in notes):
         raise ValueError(f"field 'notes' must hold JSON strings, got {json.dumps(notes)}")
     return SweepSpec(
-        variable=_string(data, "variable"),
-        start=_number(data, "start"),
-        stop=_number(data, "stop"),
-        step=_number(data, "step"),
-        series=tuple(_at(f"series[{i}]", _parse_series, s, cfg) for i, s in enumerate(data["series"])),
+        *grid,
+        series=tuple(_at(f"series[{i}]", _parse_series, s, cfg) for i, s in enumerate(series)),
         obs_grid=None if data.get("obs_grid") is None else _number(data, "obs_grid"),
         name=_string(data, "name", "custom"),
         notes=tuple(notes),

@@ -29,7 +29,7 @@ class PerceptionRecord(Checked, namedtuple(
     __slots__ = ()
 
     def __new__(cls, id, source_vehicle, generated_at, object_distance, temporal, sensor, mode=voi.PROCESSED):
-        if object_distance < 0:
+        if not object_distance >= 0:
             raise ValueError(f"object distance must be non-negative, got {object_distance}")
         voi.check_mode(mode)
         return tuple.__new__(cls, (id, source_vehicle, generated_at, object_distance, temporal, sensor, mode))
@@ -41,7 +41,7 @@ class ReceiverView(Checked, namedtuple("ReceiverView", "receiver_id distance sce
     __slots__ = ()
 
     def __new__(cls, receiver_id: str, distance: float, scenario: voi.Scenario) -> ReceiverView:
-        if distance < 0:
+        if not distance >= 0:
             raise ValueError(f"receiver distance must be non-negative, got {distance}")
         return tuple.__new__(cls, (receiver_id, distance, scenario))
 
@@ -71,7 +71,7 @@ class RankedEntry(namedtuple("RankedEntry", "record_id best_value best_receiver"
 
 def _age(record: PerceptionRecord, now: float) -> float:
     aoi = now - record.generated_at
-    if aoi < 0:
+    if not aoi >= 0:
         raise ValueError(
             f"record {record.id!r} was generated at {record.generated_at}, "
             f"after the scheduler clock {now}"

@@ -82,7 +82,7 @@ class SweepSeries(Checked, namedtuple(
             raise ValueError(f"attribute must be one of {ATTRIBUTE_CHOICES}, got {attribute!r}")
         check_mode(mode)
         for name, value in (("aoi", aoi), ("distance", distance), ("obs_distance", obs_distance)):
-            if value is not None and value < 0:
+            if value is not None and not value >= 0:
                 raise ValueError(f"{name} must be non-negative, got {value}")
         self = tuple.__new__(
             cls, (label, profile, scenario, temporal, sensor, mode, attribute, aoi, distance, obs_distance)

@@ -64,7 +64,7 @@ DEFAULT_LOGISTIC = LogisticParams()
 
 def safety_distance(v_max: float) -> float:
     """Safety distance (m) for a speed limit: twice v_max."""
-    if v_max <= 0:
+    if not v_max > 0:
         raise ValueError(f"speed limit must be positive, got {v_max}")
     return 2.0 * v_max
 
@@ -76,7 +76,7 @@ def focal_distance(resolution: float, fov: float) -> float:
         resolution: horizontal resolution (px), > 0.
         fov: horizontal field of view (degrees), in (0, 180).
     """
-    if resolution <= 0:
+    if not resolution > 0:
         raise ValueError(f"resolution must be positive, got {resolution}")
     if not (0.0 < fov < 180.0):
         raise ValueError(f"field of view must be in (0, 180) degrees, got {fov}")
@@ -115,9 +115,9 @@ class Scenario(Checked, namedtuple("Scenario", "kind v_max safety_distance los_m
                 f"pass los_model or use one of {sorted(_BUILTIN_LOS)}"
             )
         # safety_distance first: a config that gives only it derives v_max from it.
-        if safety_distance <= 0:
+        if not safety_distance > 0:
             raise ValueError(f"safety distance must be positive, got {safety_distance}")
-        if v_max <= 0:
+        if not v_max > 0:
             raise ValueError(f"speed limit must be positive, got {v_max}")
         return tuple.__new__(cls, (kind, v_max, safety_distance, los_model))
 
@@ -139,7 +139,7 @@ class TemporalClass(Checked, namedtuple("TemporalClass", "name decay")):
     __slots__ = ()
 
     def __new__(cls, name: str, decay: float) -> TemporalClass:
-        if decay < 0:
+        if not decay >= 0:
             raise ValueError(f"temporal decay must be non-negative, got {decay}")
         return tuple.__new__(cls, (name, decay))
 
@@ -199,11 +199,11 @@ class AssessmentContext(Checked, namedtuple(
         cls, distance: float, aoi: float, scenario: Scenario, temporal: TemporalClass,
         sensor: SensorModel, mode: str = PROCESSED, obs_distance: float | None = None,
     ) -> AssessmentContext:
-        if distance < 0:
+        if not distance >= 0:
             raise ValueError(f"distance must be non-negative, got {distance}")
-        if aoi < 0:
+        if not aoi >= 0:
             raise ValueError(f"age of information must be non-negative, got {aoi}")
-        if obs_distance is not None and obs_distance < 0:
+        if obs_distance is not None and not obs_distance >= 0:
             raise ValueError(f"observation distance must be non-negative, got {obs_distance}")
         check_mode(mode)
         return tuple.__new__(cls, (distance, aoi, scenario, temporal, sensor, mode, obs_distance))
@@ -327,7 +327,7 @@ def proximity_voi(
     Full value is kept up to roughly the safety distance, after which the
     score decays toward params.lower.
     """
-    if distance < 0:
+    if not distance >= 0:
         raise ValueError(f"distance must be non-negative, got {distance}")
     try:
         denominator = (
@@ -340,7 +340,7 @@ def proximity_voi(
 
 def timeliness_voi(aoi: float, temporal: TemporalClass) -> float:
     """Timeliness score: exponential decay of value with age."""
-    if aoi < 0:
+    if not aoi >= 0:
         raise ValueError(f"age of information must be non-negative, got {aoi}")
     if temporal.decay == 0.0:  # no decay at any age; 0 * an infinite age is NaN
         return 1.0
@@ -353,7 +353,7 @@ def quality_voi_processed(obs_distance: float, sensor: SensorModel) -> float:
     Falls linearly with the observation distance and hits 0 at
     height * focal; observations beyond that carry no quality value.
     """
-    if obs_distance < 0:
+    if not obs_distance >= 0:
         raise ValueError(f"observation distance must be non-negative, got {obs_distance}")
     raw = 1.0 - obs_distance / (sensor.height * sensor.focal)
     return min(1.0, max(0.0, raw))
@@ -361,7 +361,7 @@ def quality_voi_processed(obs_distance: float, sensor: SensorModel) -> float:
 
 def los_probability(distance: float, scenario: Scenario) -> float:
     """Probability of an unobstructed line of sight at a distance."""
-    if distance < 0:
+    if not distance >= 0:
         raise ValueError(f"distance must be non-negative, got {distance}")
     model = scenario.los_model or _BUILTIN_LOS[scenario.kind]
     return min(1.0, max(0.0, model(distance)))

@@ -44,8 +44,8 @@ def test_criterion_2_consistency_rule():
     traffic = ahp.principal_eigenvector(voi.BUILTIN_MATRICES["traffic"])
     assert safety.lambda_max == pytest.approx(3.0126, abs=1e-3)
     assert traffic.lambda_max == pytest.approx(3.0803, abs=1e-3)
-    safety_report = ahp.consistency(safety, 3)
-    traffic_report = ahp.consistency(traffic, 3)
+    safety_report = ahp.consistency(safety)
+    traffic_report = ahp.consistency(traffic)
     assert safety_report.consistency_ratio == pytest.approx(0.0109, abs=1e-3)
     assert traffic_report.consistency_ratio == pytest.approx(0.069, abs=2e-3)
     assert safety_report.acceptable and traffic_report.acceptable

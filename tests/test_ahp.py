@@ -47,14 +47,18 @@ def test_power_iteration_agrees_with_oracle(rows, lam, weights):
     assert solution.weights == pytest.approx(weights, abs=1e-8)
 
 
-def test_consistency_reports():
-    safety = ahp.consistency(ahp.principal_eigenvector(matrix_from_rows(SAFETY_ROWS)), 3)
+def test_consistency_reports(monkeypatch):
+    safety = ahp.consistency(ahp.principal_eigenvector(matrix_from_rows(SAFETY_ROWS)))
     assert safety.consistency_ratio == pytest.approx(0.0109, abs=1e-3)
     assert safety.random_index == 0.58
     assert safety.acceptable
-    traffic = ahp.consistency(ahp.principal_eigenvector(matrix_from_rows(TRAFFIC_ROWS)), 3)
+    solution = ahp.principal_eigenvector(matrix_from_rows(TRAFFIC_ROWS))
+    traffic = ahp.consistency(solution)
     assert traffic.consistency_ratio == pytest.approx(0.069, abs=2e-3)
     assert traffic.acceptable
+    # A ratio must fall below the limit; one equal to it is not acceptable.
+    monkeypatch.setattr(ahp, "CONSISTENCY_LIMIT", traffic.consistency_ratio)
+    assert not ahp.consistency(solution).acceptable
 
 
 def test_consistent_matrix_gives_lambda_n_and_exact_weights():
@@ -63,7 +67,7 @@ def test_consistent_matrix_gives_lambda_n_and_exact_weights():
     solution = ahp.principal_eigenvector(matrix_from_rows(rows))
     assert solution.lambda_max == pytest.approx(3.0, abs=1e-9)
     assert solution.weights == pytest.approx(w, abs=1e-9)
-    report = ahp.consistency(solution, 3)
+    report = ahp.consistency(solution)
     assert report.consistency_index == pytest.approx(0.0, abs=1e-9)
     assert report.acceptable
 
@@ -71,7 +75,7 @@ def test_consistent_matrix_gives_lambda_n_and_exact_weights():
 def test_all_ones_matrix_gives_uniform_weights():
     solution = ahp.principal_eigenvector(matrix_from_rows(np.ones((3, 3))))
     assert solution.weights == pytest.approx((1 / 3, 1 / 3, 1 / 3), abs=1e-12)
-    assert ahp.consistency(solution, 3).consistency_ratio == pytest.approx(0.0, abs=1e-12)
+    assert ahp.consistency(solution).consistency_ratio == pytest.approx(0.0, abs=1e-12)
 
 
 def test_matrix_validation_errors():
@@ -81,7 +85,7 @@ def test_matrix_validation_errors():
         matrix_from_rows([[1, 2, 3], [0.6, 1, 1], [1 / 3, 1, 1]])
     with pytest.raises(ValueError, match="diagonal"):
         matrix_from_rows([[2, 1, 1], [1, 1, 1], [1, 1, 1]])
-    with pytest.raises(ValueError, match="got shape"):
+    with pytest.raises(ValueError, match=r"got row lengths \[2, 2, 2\]"):
         ahp.ComparisonMatrix(LABELS, np.ones((3, 2)))
     with pytest.raises(ValueError, match="labels"):
         ahp.ComparisonMatrix(("a", "a", "b"), np.ones((3, 3)))
@@ -93,7 +97,7 @@ def test_entries_accept_any_nested_sequence_of_rows():
     rows = [list(row) for row in SAFETY_ROWS]
     for entries in (rows, SAFETY_ROWS, np.array(SAFETY_ROWS)):
         assert ahp.ComparisonMatrix(LABELS, entries).entries == tuple(tuple(row) for row in rows)
-    with pytest.raises(ValueError, match=r"got shape \(2, 3\)"):
+    with pytest.raises(ValueError, match=r"got row lengths \[3, 3\]"):
         ahp.ComparisonMatrix(LABELS, rows[:2])
     with pytest.raises(ValueError, match=r"got row lengths \[3, 2, 3\]"):
         ahp.ComparisonMatrix(LABELS, [rows[0], rows[1][:2], rows[2]])
@@ -127,12 +131,12 @@ def test_consistency_rejects_unsupported_sizes():
     eleven = ahp.ComparisonMatrix([f"c{i}" for i in range(11)], np.ones((11, 11)))
     solution = ahp.principal_eigenvector(eleven)
     with pytest.raises(ValueError, match="n=11"):
-        ahp.consistency(solution, 11)
+        ahp.consistency(solution)
 
 
 def test_every_2x2_matrix_is_consistent():
     two = ahp.ComparisonMatrix(("a", "b"), np.array([[1.0, 3.0], [1 / 3, 1.0]]))
-    report = ahp.consistency(ahp.principal_eigenvector(two), 2)
+    report = ahp.consistency(ahp.principal_eigenvector(two))
     assert (report.random_index, report.consistency_ratio, report.acceptable) == (0.0, 0.0, True)
 
 
@@ -156,7 +160,7 @@ def test_random_saaty_matrix_properties(matrix):
     assert solution.lambda_max >= matrix.n - 1e-9
     assert sum(solution.weights) == pytest.approx(1.0, abs=1e-12)
     assert all(w > 0 for w in solution.weights)
-    report = ahp.consistency(solution, matrix.n)
+    report = ahp.consistency(solution)
     assert report.consistency_index >= -1e-9
     assert report.acceptable == (report.consistency_ratio < 0.1)
     # A positive matrix has one real eigenvalue of largest modulus (Perron).

@@ -101,8 +101,8 @@ def test_weights_matrix_must_be_square(capsys, tmp_path):
     matrix = tmp_path / "m.json"
     config = tmp_path / "cfg.json"
     for doc, message in (
-        ([[1, 1, 1], [1, 1], [1, 1, 1]], "row 2 has 2 entries, expected 3"),
-        ([[1, 1], [1, 1], [1, 1]], "row 1 has 2 entries, expected 3"),
+        ([[1, 1, 1], [1, 1], [1, 1, 1]], "expected a 3x3 matrix, got row lengths [3, 2, 3]"),
+        ([[1, 1], [1, 1], [1, 1]], "expected a 3x3 matrix, got row lengths [2, 2, 2]"),
         ({"labels": "ab", "matrix": [[1, 1], [1, 1]]}, "labels must be a list of strings"),
         (5, "expected a JSON matrix or an object with a 'matrix' key"),
     ):
@@ -300,16 +300,17 @@ def test_sweep_custom_spec_with_config(capsys, tmp_path):
 
 def test_sweep_spec_missing_key(capsys, tmp_path):
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps({"variable": "distance"}))
-    code, _, err = run_cli(capsys, "sweep", "--spec", str(path))
-    assert code == 1
-    assert "needs 'start'" in err
-
     good = {
         "variable": "distance", "start": 0, "stop": 10, "step": 5,
         "series": [{"label": "s", "attribute": "overall", "profile": "safety", "scenario": "urban",
                     "temporal": "variable", "sensor": "medium", "aoi": 0.1}],
     }
+    # Each spec lacks a required key and the one after it; the first of the two is named.
+    required = ("variable", "start", "stop", "step", "series")
+    for i, key in enumerate(required):
+        path.write_text(json.dumps({k: good[k] for k in required[:i] + required[i + 2:]}))
+        code, out, err = run_cli(capsys, "sweep", "--spec", str(path))
+        assert (code, out, err) == (1, "", f"error: {path}: missing field {key!r}\n")
     out_path = str(tmp_path / "never.csv")
     for bad in NOT_FINITE_NUMBERS:
         for field in ("start", "stop", "step", "aoi"):
@@ -328,9 +329,9 @@ def test_sweep_spec_missing_key(capsys, tmp_path):
         (dict(good, series=5), "fields 'series' and 'notes' must be JSON lists"),
         (dict(good, stop=1e9, step=1e-3), "the sweep grid would have 1000000000001 points"),
         (dict(good, series=[dict(good["series"][0], mode="raw")]),
-         "series[0]: field 'mode': unknown mode 'raw'"),
+         "series[0]: field 'mode': unknown mode 'raw'; known: ['non_processed', 'nonprocessed', 'processed']"),
         (dict(good, series=[dict(good["series"][0], mode=7)]),
-         "series[0]: field 'mode': mode must be a JSON string, got 7"),
+         "series[0]: field 'mode' must be a JSON string, got 7"),
         *(
             (dict(good, series=[dict(good["series"][0], **{key: -0.1})]),
              f"series[0]: {key} must be non-negative, got -0.1")
@@ -529,8 +530,9 @@ def test_schedule_input_errors(capsys, tmp_path):
     for field, value, message in (
         ("d_o", -1, "records.jsonl:2: field 'd_o': object distance must be non-negative, got -1.0"),
         ("temporal", -1, "records.jsonl:2: field 'temporal': temporal decay must be non-negative"),
-        ("mode", "raw", "records.jsonl:2: field 'mode': unknown mode 'raw'"),
-        ("mode", 7, "records.jsonl:2: field 'mode': mode must be a JSON string, got 7"),
+        ("mode", "raw", "records.jsonl:2: field 'mode': unknown mode 'raw'; "
+                        "known: ['non_processed', 'nonprocessed', 'processed']"),
+        ("mode", 7, "records.jsonl:2: field 'mode' must be a JSON string, got 7"),
         ("distance", -1,
          "receivers.jsonl:1: field 'distance': receiver distance must be non-negative, got -1.0"),
         ("id", None, "records.jsonl:2: field 'id' must be a JSON string, got null"),
@@ -703,6 +705,17 @@ def test_files_are_read_and_written_as_utf8_under_the_c_locale(tmp_path):
     assert run.stderr == (b"error: caf\\xe9.csv: 'ascii' codec can't encode character '\\xe9' "
                           b"in position 3: ordinal not in range(128)\n")
     assert not any(path.suffix == ".csv" and path != out_path for path in tmp_path.iterdir())
+
+
+def test_an_output_path_that_open_rejects_is_named(capsys, tmp_path, monkeypatch):
+    # open() rejects a null byte with a ValueError that names no file.
+    monkeypatch.chdir(tmp_path)
+    spec = {"name": "a\u0000b", "variable": "distance", "start": 0, "stop": 100, "step": 50,
+            "series": [{"label": "p", "attribute": "proximity", "scenario": "urban"}]}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "sweep", "--spec", "spec.json")
+    assert (code, out, err) == (1, "", "error: a\x00b.csv: embedded null byte\n")
+    assert [path.name for path in tmp_path.iterdir()] == ["spec.json"]
 
 
 def test_stdout_does_not_depend_on_the_locale(tmp_path):

@@ -1,4 +1,6 @@
 import json
+import math
+import sys
 
 import pytest
 
@@ -76,7 +78,7 @@ def test_parse_scenarios():
     assert cfg.scenarios["campus"].safety_distance == 10.0
     assert cfg.scenarios["tuned"].safety_distance == 100.0
     assert cfg.scenarios["fixed"].v_max == 15.0
-    with pytest.raises(ValueError, match="v_max"):
+    with pytest.raises(ValueError, match=r"^scenario 's': needs v_max and/or safety_distance$"):
         cfgmod.parse_config({"scenarios": {"s": {"kind": "urban"}}})
 
 
@@ -86,6 +88,16 @@ def test_parse_sensors_with_defaults():
     assert cfg.sensors["wide"].fov == 70.0
     with pytest.raises(ValueError, match="resolution"):
         cfgmod.parse_config({"sensors": {"s": {"height": 1.0}}})
+
+
+def test_the_largest_floats_are_finite_numbers():
+    big = sys.float_info.max
+    assert cfgmod.parse_config({"sensors": {"x": {"resolution": big}}}).sensors["x"].resolution == big
+    with pytest.raises(ValueError, match=r"^sensor 'x': resolution must be positive, got -1\.79"):
+        cfgmod.parse_config({"sensors": {"x": {"resolution": -big}}})
+    for value in (big, -big):  # a number, so the matrix check it fails is the Saaty range
+        with pytest.raises(ValueError, match="outside the Saaty range"):
+            cfgmod.parse_matrix([[1, value], [1, 1]])
 
 
 def test_parse_logistic_overlay():
@@ -101,6 +113,12 @@ def test_threshold_bounds():
     assert cfg.threshold == 0.4
     with pytest.raises(ValueError, match="threshold"):
         cfgmod.parse_config({"defaults": {"threshold": 1.5}})
+    for edge in (0, 1):
+        assert cfgmod.parse_config({"defaults": {"threshold": edge}}).threshold == edge
+    for outside in (math.nextafter(0.0, -1.0), math.nextafter(1.0, 2.0)):
+        with pytest.raises(ValueError) as info:
+            cfgmod.parse_config({"defaults": {"threshold": outside}})
+        assert str(info.value) == f"defaults.threshold must be in [0, 1], got {outside}"
 
 
 def test_builtin_names_can_be_overridden():
@@ -220,10 +238,10 @@ def test_load_records_error_reporting(tmp_path):
     for field, value, message in (
         ("d_o", -1, "field 'd_o': object distance must be non-negative, got -1.0"),
         ("temporal", -2.5, "field 'temporal': temporal decay must be non-negative, got -2.5"),
-        ("mode", "raw", "field 'mode': unknown mode 'raw'; expected one of "
+        ("mode", "raw", "field 'mode': unknown mode 'raw'; known: "
                         "['non_processed', 'nonprocessed', 'processed']"),
-        ("mode", 7, "field 'mode': mode must be a JSON string, got 7"),
-        ("mode", None, "field 'mode': mode must be a JSON string, got null"),
+        ("mode", 7, "field 'mode' must be a JSON string, got 7"),
+        ("mode", None, "field 'mode' must be a JSON string, got null"),
         # Text fields must be JSON strings, not coerced with str().
         ("id", None, "field 'id' must be a JSON string, got null"),
         ("id", 5, "field 'id' must be a JSON string, got 5"),
@@ -243,6 +261,9 @@ def test_load_records_error_reporting(tmp_path):
         ([ok, dict(ok, id="r2", d_o=-1)],
          "2: field 'd_o': object distance must be non-negative, got -1.0"),
         ([ok, dict(ok, id="r2", d_o="1")], "2: field 'd_o' must be a finite number, got \"1\""),
+        # A list or an object is no cache key.
+        ([ok, dict(ok, id="r2", sensor=[1])], "2: field 'sensor' must be a JSON string, got [1]"),
+        ([ok, dict(ok, id="r2", mode={})], "2: field 'mode' must be a JSON string, got {}"),
         ([ok, dict(ok, id="r1")], "2: duplicate record id 'r1' (first on line 1)"),
         ([ok, dict(ok, id="r2"), dict(ok, id="r1")], "3: duplicate record id 'r1' (first on line 1)"),
     ):
@@ -350,9 +371,18 @@ def test_load_receivers(tmp_path):
         cfgmod.load_receivers(str(path), cfgmod.default_config())
 
 
-def test_resolve_mode_aliases():
-    assert cfgmod.resolve_mode("nonprocessed") == voi.NON_PROCESSED
-    assert cfgmod.resolve_mode("non_processed") == voi.NON_PROCESSED
-    assert cfgmod.resolve_mode("processed") == voi.PROCESSED
-    with pytest.raises(ValueError, match="unknown mode"):
-        cfgmod.resolve_mode("raw")
+def test_resolve_mode_aliases(tmp_path):
+    # Records and sweep series take a mode in any of MODE_ALIASES' spellings.
+    aliases = {"nonprocessed": voi.NON_PROCESSED, "non_processed": voi.NON_PROCESSED,
+               "processed": voi.PROCESSED}
+    record = {"source": "v", "t0": 0, "d_o": 1, "temporal": "static", "sensor": "medium"}
+    path = tmp_path / "records.jsonl"
+    write_lines(path, [dict(record, id=alias, mode=alias) for alias in aliases])
+    records = cfgmod.load_records(str(path), cfgmod.default_config())
+    assert [r.mode for r in records] == list(aliases.values())
+    series = {"label": "s", "attribute": "quality", "scenario": "urban", "sensor": "medium"}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"variable": "distance", "start": 0, "stop": 1, "step": 1, "series": [
+        dict(series, label=alias, mode=alias) for alias in aliases]}))
+    spec = cfgmod.load_sweep_spec(str(path), cfgmod.default_config())
+    assert [s.mode for s in spec.series] == list(aliases.values())

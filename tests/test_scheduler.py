@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -51,6 +52,11 @@ def test_clock_skew_is_rejected():
     record = make_record(t0=5.0)
     with pytest.raises(ValueError, match="after the scheduler clock"):
         scheduler.score_record(record, urban_view(), make_cfg(now=4.0))
+    # A NaN clock fails the same check, not a later score check.
+    for score in (scheduler.score_record, lambda r, v, cfg: scheduler.rank([r], [v], cfg)):
+        with pytest.raises(ValueError) as info:
+            score(record, urban_view(), make_cfg(now=math.nan))
+        assert str(info.value) == "record 'r1' was generated at 5.0, after the scheduler clock nan"
 
 
 def test_rank_prefers_the_closest_receiver():
@@ -80,6 +86,8 @@ def test_equal_valued_receivers_pick_the_first_id():
 def test_rank_rejects_duplicates_and_empty_receivers():
     with pytest.raises(ValueError, match="duplicate record id 'dup'"):
         scheduler.rank([make_record("dup"), make_record("dup")], [urban_view()], make_cfg())
+    with pytest.raises(ValueError, match=r"^duplicate record id 'dup'$"):  # not the first id
+        scheduler.rank([make_record("a"), make_record("dup"), make_record("dup")], [urban_view()], make_cfg())
     with pytest.raises(ValueError, match="receiver"):
         scheduler.rank([make_record()], [], make_cfg())
     with pytest.raises(ValueError, match="duplicate receiver id 'x'"):
@@ -94,7 +102,8 @@ def test_rank_keeps_the_per_pair_checks():
     cfg = scheduler.SchedulerConfig(profile=voi.SAFETY, threshold=0.5, now=0.1, params=unchecked)
     with pytest.raises(ValueError, match=r"proximity score 1\.49\d+ is outside \[0, 1\]"):
         scheduler.rank([make_record()], [urban_view(d=0.0)], cfg)
-    stale = make_record(temporal=voi.TemporalClass("broken", float("nan")))
+    # TemporalClass rejects a NaN decay itself; built unchecked, it reaches rank's own check.
+    stale = make_record(temporal=tuple.__new__(voi.TemporalClass, ("broken", math.nan)))
     with pytest.raises(ValueError, match=r"timeliness score nan is outside \[0, 1\]"):
         scheduler.rank([stale], [urban_view()], make_cfg())
 

@@ -13,6 +13,7 @@ _CONTEXT = dict(distance=1.0, aoi=0.0, scenario=voi.URBAN, temporal=voi.STATIC,
 _RECORD = dict(id="r", source_vehicle="v", generated_at=0.0, object_distance=1.0,
                temporal=voi.STATIC, sensor=voi.SENSORS["low"], mode=voi.PROCESSED)
 _BAD_MODE = ("mode", "raw"), "mode must be one of ('processed', 'non_processed'), got 'raw'"
+_NAN = float("nan")
 
 # (type, every constructor argument in order, one bad field and value, its message)
 CASES = [
@@ -26,13 +27,19 @@ CASES = [
      ("decay", -1.0), "decay must be positive, got -1.0"),
     (voi.Scenario, dict(kind="urban", v_max=12.0, safety_distance=24.0, los_model=None),
      ("v_max", 0.0), "speed limit must be positive, got 0.0"),
+    (voi.Scenario, dict(kind="urban", v_max=12.0, safety_distance=24.0, los_model=None),
+     ("v_max", _NAN), "speed limit must be positive, got nan"),
     (voi.TemporalClass, dict(name="t", decay=1.0),
      ("decay", -1.0), "temporal decay must be non-negative, got -1.0"),
+    (voi.TemporalClass, dict(name="t", decay=1.0),
+     ("decay", _NAN), "temporal decay must be non-negative, got nan"),
     (voi.SensorModel, dict(height=1.2, fov=70.0, resolution=640.0),
      ("height", 0.0), "sensor height must be positive, got 0.0"),
     (voi.AssessmentContext, _CONTEXT,
      ("aoi", -1.0), "age of information must be non-negative, got -1.0"),
     (voi.AssessmentContext, _CONTEXT, *_BAD_MODE),
+    (voi.AssessmentContext, _CONTEXT,
+     ("aoi", _NAN), "age of information must be non-negative, got nan"),
     (voi.AttributeScores, dict(proximity=0.5, timeliness=0.5, quality=0.5),
      ("quality", 1.5), "quality score 1.5 is outside [0, 1]"),
     (voi.ApplicationProfile, dict(name="p", timeliness=0.2, proximity=0.3, quality=0.5),
@@ -40,14 +47,20 @@ CASES = [
     (scheduler.PerceptionRecord, _RECORD,
      ("object_distance", -1.0), "object distance must be non-negative, got -1.0"),
     (scheduler.PerceptionRecord, _RECORD, *_BAD_MODE),
+    (scheduler.PerceptionRecord, _RECORD,
+     ("object_distance", _NAN), "object distance must be non-negative, got nan"),
     (scheduler.ReceiverView, dict(receiver_id="a", distance=1.0, scenario=voi.URBAN),
      ("distance", -1.0), "receiver distance must be non-negative, got -1.0"),
+    (scheduler.ReceiverView, dict(receiver_id="a", distance=1.0, scenario=voi.URBAN),
+     ("distance", _NAN), "receiver distance must be non-negative, got nan"),
     (scheduler.SchedulerConfig,
      dict(profile=voi.SAFETY, threshold=0.5, now=0.0, params=voi.DEFAULT_LOGISTIC),
      ("threshold", 1.5), "threshold must be in [0, 1], got 1.5"),
     (sweep.SweepSeries, dict(zip(sweep.SweepSeries._fields, _SERIES)),
      ("label", "a,b\nc"), "field 'label' must not hold a comma, quote or line break, got \"a,b\\nc\""),
     (sweep.SweepSeries, dict(zip(sweep.SweepSeries._fields, _SERIES)), *_BAD_MODE),
+    (sweep.SweepSeries, dict(zip(sweep.SweepSeries._fields, _SERIES)),
+     ("aoi", _NAN), "aoi must be non-negative, got nan"),
     (sweep.SweepSpec,
      dict(variable="distance", start=0.0, stop=10.0, step=1.0, series=(_SERIES,),
           obs_grid=None, name="custom", notes=()),

@@ -25,6 +25,8 @@ def test_safety_distance():
     assert voi.safety_distance(36.0) == 72.0
     with pytest.raises(ValueError, match="positive"):
         voi.safety_distance(0.0)
+    with pytest.raises(ValueError, match=r"^speed limit must be positive, got nan$"):
+        voi.safety_distance(math.nan)
 
 
 def test_builtin_scenarios():
@@ -40,6 +42,8 @@ def test_scenario_validation():
         voi.Scenario("urban", -1.0, 24.0)
     with pytest.raises(ValueError, match=r"^safety distance must be positive, got 0\.0$"):
         voi.Scenario("urban", 12.0, 0.0)
+    with pytest.raises(ValueError, match=r"^safety distance must be positive, got nan$"):
+        voi.Scenario("urban", 12.0, math.nan)
     # a custom kind is fine once it brings its own model
     custom = voi.Scenario("tunnel", 10.0, 20.0, los_model=lambda d: 0.5)
     assert voi.los_probability(100.0, custom) == 0.5
@@ -51,6 +55,8 @@ def test_focal_distance():
     assert voi.focal_distance(4096.0, 70.0) == pytest.approx(2924.8471178078507, rel=1e-12)
     with pytest.raises(ValueError, match="resolution"):
         voi.focal_distance(0.0, 70.0)
+    with pytest.raises(ValueError, match=r"^resolution must be positive, got nan$"):
+        voi.focal_distance(math.nan, 70.0)
     with pytest.raises(ValueError, match="field of view"):
         voi.focal_distance(1280.0, 180.0)
     with pytest.raises(ValueError, match=r"^field of view must be in \(0, 180\) degrees, got 0\.0$"):
@@ -78,6 +84,8 @@ def test_proximity_is_decreasing_and_bounded():
         previous = value
     with pytest.raises(ValueError, match="non-negative"):
         voi.proximity_voi(-1.0, 24.0)
+    with pytest.raises(ValueError, match=r"^distance must be non-negative, got nan$"):
+        voi.proximity_voi(math.nan, 24.0)
 
 
 def test_logistic_params_validation():
@@ -138,6 +146,8 @@ def test_timeliness_frozen_values():
     assert voi.timeliness_voi(5.0, voi.STATIC) == 1.0
     with pytest.raises(ValueError, match="non-negative"):
         voi.timeliness_voi(-0.1, voi.VARIABLE)
+    with pytest.raises(ValueError, match=r"^age of information must be non-negative, got nan$"):
+        voi.timeliness_voi(math.nan, voi.VARIABLE)
 
 
 def test_temporal_classes():
@@ -157,12 +167,18 @@ def test_quality_processed_frozen_and_clamped():
     # zero crossing is at height * focal (about 1096.8 m for 1280 px)
     assert voi.quality_voi_processed(1.2 * medium.focal, medium) == 0.0
     assert voi.quality_voi_processed(5000.0, medium) == 0.0
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match=rf"^observation distance must be non-negative, got {bad}$"):
+            voi.quality_voi_processed(bad, medium)
 
 
 def test_los_probability_frozen_values():
     assert voi.los_probability(50.0, voi.URBAN) == pytest.approx(0.5938017106345139, abs=1e-13)
     assert voi.los_probability(100.0, voi.HIGHWAY) == pytest.approx(0.840313, abs=1e-12)
     assert voi.los_probability(0.0, voi.URBAN) == 1.0
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match=rf"^distance must be non-negative, got {bad}$"):
+            voi.los_probability(bad, voi.URBAN)
 
 
 def test_urban_los_is_continuous_at_the_clamp_crossover():
@@ -199,6 +215,10 @@ def test_context_validation_and_obs_default():
         make_ctx(distance=-1.0)
     with pytest.raises(ValueError, match="age of information"):
         make_ctx(aoi=-0.1)
+    for field, message in (("distance", "distance"), ("obs_distance", "observation distance")):
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ValueError, match=rf"^{message} must be non-negative, got {bad}$"):
+                make_ctx(**{field: bad})
     with pytest.raises(ValueError, match="mode"):
         make_ctx(mode="raw")
 
