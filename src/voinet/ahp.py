@@ -91,10 +91,12 @@ class EigenSolution(Checked, namedtuple("EigenSolution", "lambda_max weights")):
     __slots__ = ()
 
     def __new__(cls, lambda_max: float, weights: Sequence[float]) -> EigenSolution:
+        if not math.isfinite(lambda_max):
+            raise ValueError(f"lambda_max must be finite, got {lambda_max}")
         weights = tuple(float(w) for w in weights)
         if abs(sum(weights) - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {sum(weights)!r}, expected 1")
-        if any(w < 0.0 or w > 1.0 for w in weights):
+        if not all(0.0 <= w <= 1.0 for w in weights):
             raise ValueError(f"weights outside [0, 1]: {weights}")
         return tuple.__new__(cls, (lambda_max, weights))
 

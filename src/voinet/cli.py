@@ -110,7 +110,7 @@ def _write(path: str, text: str) -> None:
         exc.filename = exc.filename or path  # a failed write or close names no file
         raise
     except ValueError as exc:  # path holds a null byte, or what the file system encoding cannot
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(f"{path!r}: {exc}") from None
 
 
 def cmd_weights(args: argparse.Namespace) -> tuple[int, str]:
@@ -196,12 +196,9 @@ def cmd_schedule(args: argparse.Namespace) -> tuple[int, str]:
     sent = len(transmit)  # ranked falls in value, so transmit is its prefix
 
     lines = ["rank,record_id,best_receiver,best_value,decision"]
-    for position, entry in enumerate(ranked, 1):
+    for position, (record_id, best_value, best_receiver) in enumerate(ranked, 1):
         decision = "transmit" if position <= sent else "cancel"
-        lines.append(
-            f"{position},{entry.record_id},{entry.best_receiver},"
-            f"{entry.best_value:.6g},{decision}"
-        )
+        lines.append(f"{position},{record_id},{best_receiver},{best_value:.6g},{decision}")
     body = "\n".join(lines) + "\n"
     summary = f"transmit={len(transmit)} cancelled={len(cancelled)}\n"
     if args.out:

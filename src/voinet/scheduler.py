@@ -3,19 +3,20 @@
 A record's rank is set by its best value over the receivers. The overall
 value separates as w_t*T(record) + w_p*P(receiver) + w_q*Q(record, scenario),
 and with finite non-negative weights it never falls as P rises. So rank
-scores P once per receiver, groups the receivers by scenario and sorts each
-group by falling P; per record it scores T once and Q once per group, and
-walks each group only while the value equals the group's first. The
-result is bitwise the one score_record gives over every pair. The
-scheduler is stateless: one config, one clock instant, and the same batch
-always produce the same ordering.
+scores P once per receiver and sorts the receivers by falling P, all merged
+and per scenario group. Per record it scores T once. It scores Q once for a
+processed record, whose Q ignores the scenario, and walks the merged list;
+for a non-processed one it scores Q once per group and walks each group. A
+walk goes on only while the value equals its first. The result is bitwise
+the one score_record gives over every pair. The scheduler is stateless: one
+config, one clock instant, and the same batch always produce the same
+ordering.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
-from operator import attrgetter
 
 from . import voi
 from ._checked import Checked
@@ -109,23 +110,24 @@ def _reject_duplicates(ids: Sequence[str], kind: str) -> None:
 
 def _proximity_groups(
     receivers: Sequence[ReceiverView], cfg: SchedulerConfig
-) -> list[tuple[voi.Scenario, list[tuple[float, str]]]]:
-    """Receivers by scenario, each group as (P, receiver id) by falling P.
+) -> tuple[list[tuple[voi.Scenario, list[tuple[float, str]]]], list[tuple[float, str]]]:
+    """Receivers by scenario, and all receivers merged, each as (P, receiver id) by falling P.
 
     Of receivers with equal P only the smallest id is kept, since it wins
     every tie among them.
     """
-    groups: dict[voi.Scenario, list[tuple[float, str]]] = {}
+    scored = []
     for view in receivers:
         p = voi.proximity_voi(view.distance, view.scenario.safety_distance, cfg.params)
         voi.check_score("proximity", p)
-        groups.setdefault(view.scenario, []).append((p, view.receiver_id))
-    result = []
-    for scenario, members in groups.items():
-        members.sort(key=lambda m: (-m[0], m[1]))
-        distinct = [m for i, m in enumerate(members) if i == 0 or m[0] != members[i - 1][0]]
-        result.append((scenario, distinct))
-    return result
+        scored.append((-p, view.receiver_id, view.scenario))
+    scored.sort()  # by falling P, then id; ids are unique, so no scenarios are compared
+    merged, groups = [], {}
+    for minus_p, receiver_id, scenario in scored:
+        for members in (merged, groups.setdefault(scenario, [])):
+            if not members or members[-1][0] != -minus_p:
+                members.append((-minus_p, receiver_id))
+    return list(groups.items()), merged
 
 
 def rank(
@@ -143,21 +145,21 @@ def rank(
         raise ValueError("at least one receiver is required")
     _reject_duplicates([v.receiver_id for v in receivers], "receiver")
     _reject_duplicates([r.id for r in records], "record")
-    groups = _proximity_groups(receivers, cfg)
-    # Fields bound once: a namedtuple field read costs more than a local. The
-    # sum is ApplicationProfile.overall's, term for term, so values stay
-    # bitwise equal to score_record's.
-    now = cfg.now
-    w_t, w_p, w_q = cfg.profile.weights
+    groups, merged = _proximity_groups(receivers, cfg)
+    merged_walk = ((groups[0][0], merged),)  # Q ignores the scenario in processed mode
+    # Names bound once: a local reads faster than a field or a module attribute. The sum
+    # is ApplicationProfile.overall's, term for term, so values stay bitwise score_record's.
+    now, (w_t, w_p, w_q), processed = cfg.now, cfg.profile.weights, voi.PROCESSED
+    timeliness_voi, quality_voi, check_score = voi.timeliness_voi, voi.quality_voi, voi.check_score
 
     entries = []
     for record in records:
-        t = voi.timeliness_voi(_age(record, now), record.temporal)
-        voi.check_score("timeliness", t)
+        t = timeliness_voi(_age(record, now), record.temporal)
+        check_score("timeliness", t)
         best_value, best_receiver = -1.0, ""  # every value is >= 0
-        for scenario, members in groups:
-            q = voi.quality_voi(record.object_distance, record.sensor, scenario, record.mode)
-            voi.check_score("quality", q)
+        for scenario, members in merged_walk if record.mode == processed else groups:
+            q = quality_voi(record.object_distance, record.sensor, scenario, record.mode)
+            check_score("quality", q)
             top = None
             for p, receiver_id in members:
                 value = w_t * t + w_p * p + w_q * q
@@ -168,8 +170,7 @@ def rank(
                 if value > best_value or (value == best_value and receiver_id < best_receiver):
                     best_value, best_receiver = value, receiver_id
         entries.append(RankedEntry(record.id, best_value, best_receiver))
-    entries.sort()  # by record id, as ids are unique
-    entries.sort(key=attrgetter("best_value"), reverse=True)  # stable: ties stay in id order
+    entries.sort(key=lambda e: (-e.best_value, e.record_id))  # ids are unique
     return entries
 
 

@@ -169,7 +169,7 @@ class SensorModel(Checked, namedtuple("SensorModel", "height fov resolution foca
     _derived = 1  # focal
 
     def __new__(cls, height: float, fov: float, resolution: float) -> SensorModel:
-        if height <= 0:
+        if not height > 0:
             raise ValueError(f"sensor height must be positive, got {height}")
         focal = focal_distance(resolution, fov)
         if not height * focal > 0:  # quality divides by it; tiny factors underflow to 0

@@ -702,7 +702,7 @@ def test_files_are_read_and_written_as_utf8_under_the_c_locale(tmp_path):
     (tmp_path / "spec.json").write_text(json.dumps(spec, ensure_ascii=False), encoding="utf-8")
     run = run_process(["sweep", "--spec", "spec.json"], env=C_LOCALE, cwd=tmp_path, capture_output=True)
     assert (run.returncode, run.stdout) == (1, b"")
-    assert run.stderr == (b"error: caf\\xe9.csv: 'ascii' codec can't encode character '\\xe9' "
+    assert run.stderr == (b"error: 'caf\\xe9.csv': 'ascii' codec can't encode character '\\xe9' "
                           b"in position 3: ordinal not in range(128)\n")
     assert not any(path.suffix == ".csv" and path != out_path for path in tmp_path.iterdir())
 
@@ -714,7 +714,7 @@ def test_an_output_path_that_open_rejects_is_named(capsys, tmp_path, monkeypatch
             "series": [{"label": "p", "attribute": "proximity", "scenario": "urban"}]}
     (tmp_path / "spec.json").write_text(json.dumps(spec))
     code, out, err = run_cli(capsys, "sweep", "--spec", "spec.json")
-    assert (code, out, err) == (1, "", "error: a\x00b.csv: embedded null byte\n")
+    assert (code, out, err) == (1, "", "error: 'a\\x00b.csv': embedded null byte\n")
     assert [path.name for path in tmp_path.iterdir()] == ["spec.json"]
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -78,9 +79,30 @@ def test_rank_ties_break_on_record_id():
 
 
 def test_equal_valued_receivers_pick_the_first_id():
-    views = [urban_view("right", 80.0), urban_view("left", 80.0)]
-    entries = scheduler.rank([make_record()], views, make_cfg())
-    assert entries[0].best_receiver == "left"
+    # Past 5 km every proximity score is the logistic lower limit, so a processed
+    # record's value ties across scenario groups too.
+    for views in ([urban_view("right", 80.0), urban_view("left", 80.0)],
+                  [scheduler.ReceiverView("right", 6000.0, voi.URBAN),
+                   scheduler.ReceiverView("left", 9000.0, voi.HIGHWAY)]):
+        record = make_record()
+        entries = scheduler.rank([record], views, make_cfg())
+        assert entries[0].best_receiver == "left"
+        assert entries[0].best_value == scheduler.score_record(record, views[0], make_cfg()) \
+            == scheduler.score_record(record, views[1], make_cfg())
+
+
+def test_rank_scores_quality_once_per_processed_record(monkeypatch):
+    # A processed record's Q ignores the scenario, so it is scored once; a
+    # non-processed record's Q is scored once per scenario group.
+    calls = []
+    quality_voi = voi.quality_voi
+    monkeypatch.setattr(voi, "quality_voi", lambda *args: calls.append(args) or quality_voi(*args))
+    records = [make_record(f"r{i}", d_o=10.0 * i, mode=voi.MODES[i % 2]) for i in range(6)]
+    views = [scheduler.ReceiverView(f"v{j}", 30.0 * j, scenario)
+             for j, scenario in enumerate([voi.URBAN, voi.HIGHWAY, TUNNEL, voi.URBAN])]
+    scheduler.rank(records, views, make_cfg())
+    counts = Counter(obs_distance for obs_distance, *_ in calls)  # each record has its own d_o
+    assert [counts[r.object_distance] for r in records] == [1, 3] * 3
 
 
 def test_rank_rejects_duplicates_and_empty_receivers():

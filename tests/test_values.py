@@ -8,6 +8,9 @@ import pytest
 from voinet import ahp, scheduler, sweep, voi
 
 _SERIES = sweep.SweepSeries("s", attribute="proximity", scenario=voi.URBAN)
+_SERIES_AT_ZERO = dict(label="z", profile=voi.SAFETY, scenario=voi.URBAN, temporal=voi.STATIC,
+                       sensor=voi.SENSORS["low"], mode=voi.PROCESSED, attribute="overall",
+                       aoi=0.0, distance=0.0, obs_distance=0.0)  # 0 is accepted
 _CONTEXT = dict(distance=1.0, aoi=0.0, scenario=voi.URBAN, temporal=voi.STATIC,
                 sensor=voi.SENSORS["low"], mode=voi.PROCESSED, obs_distance=None)
 _RECORD = dict(id="r", source_vehicle="v", generated_at=0.0, object_distance=1.0,
@@ -23,6 +26,10 @@ CASES = [
      ("weights", (0.5, 0.6)), "weights sum to 1.1, expected 1"),
     (ahp.EigenSolution, dict(lambda_max=3.0, weights=(0.5, 0.5, 0.0)),
      ("weights", (1.5, -0.5, 0.0)), "weights outside [0, 1]: (1.5, -0.5, 0.0)"),
+    (ahp.EigenSolution, dict(lambda_max=2.0, weights=(0.5, 0.5)),
+     ("lambda_max", _NAN), "lambda_max must be finite, got nan"),
+    (ahp.EigenSolution, dict(lambda_max=2.0, weights=(0.5, 0.5)),
+     ("weights", (_NAN, _NAN)), "weights outside [0, 1]: (nan, nan)"),
     (voi.LogisticParams, dict(upper=1.0, lower=0.0, offset=1.0, scale=1.0, decay=0.03, shape=0.2),
      ("decay", -1.0), "decay must be positive, got -1.0"),
     (voi.Scenario, dict(kind="urban", v_max=12.0, safety_distance=24.0, los_model=None),
@@ -35,6 +42,8 @@ CASES = [
      ("decay", _NAN), "temporal decay must be non-negative, got nan"),
     (voi.SensorModel, dict(height=1.2, fov=70.0, resolution=640.0),
      ("height", 0.0), "sensor height must be positive, got 0.0"),
+    (voi.SensorModel, dict(height=1.2, fov=70.0, resolution=640.0),
+     ("height", _NAN), "sensor height must be positive, got nan"),
     (voi.AssessmentContext, _CONTEXT,
      ("aoi", -1.0), "age of information must be non-negative, got -1.0"),
     (voi.AssessmentContext, _CONTEXT, *_BAD_MODE),
@@ -61,10 +70,16 @@ CASES = [
     (sweep.SweepSeries, dict(zip(sweep.SweepSeries._fields, _SERIES)), *_BAD_MODE),
     (sweep.SweepSeries, dict(zip(sweep.SweepSeries._fields, _SERIES)),
      ("aoi", _NAN), "aoi must be non-negative, got nan"),
+    (sweep.SweepSeries, _SERIES_AT_ZERO,
+     ("distance", -1.0), "distance must be non-negative, got -1.0"),
     (sweep.SweepSpec,
      dict(variable="distance", start=0.0, stop=10.0, step=1.0, series=(_SERIES,),
           obs_grid=None, name="custom", notes=()),
      ("step", 0.0), "step must be positive, got 0.0"),
+    (sweep.SweepSpec,
+     dict(variable="distance", start=0.0, stop=10.0, step=1.0, series=(_SERIES,),
+          obs_grid=None, name="custom", notes=()),
+     ("obs_grid", 0.0), "obs_grid must be positive and finite, got 0.0"),
 ]
 
 
