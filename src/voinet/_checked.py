@@ -7,6 +7,8 @@ tuple without ``__new__``; ``Checked`` sends both through ``__new__``, so no
 way of constructing a value skips its checks. ``check_csv_text`` is the one
 rule for text that a CSV prints: record and receiver ids and sweep series
 labels, unquoted, and the names and notes in a sweep CSV's comment lines.
+``non_negative`` and ``positive`` are the two range rules for numbers: each
+holds the one comparison that NaN fails and the one wording of its error.
 """
 
 from __future__ import annotations
@@ -62,3 +64,17 @@ def check_csv_text(name: str, value: str, comment: bool = False) -> None:
     else:
         why = "a line break" if comment else "a comma, quote or line break"
     raise ValueError(f"field {name!r} must not hold {why}, got {json.dumps(value)}")
+
+
+def non_negative(what: str, value: float) -> float:
+    """value, unless it is negative or NaN: then a ValueError naming what."""
+    if not value >= 0:
+        raise ValueError(f"{what} must be non-negative, got {value}")
+    return value
+
+
+def positive(what: str, value: float) -> float:
+    """value, unless it is zero, negative or NaN: then a ValueError naming what."""
+    if not value > 0:
+        raise ValueError(f"{what} must be positive, got {value}")
+    return value

@@ -119,7 +119,7 @@ def cmd_weights(args: argparse.Namespace) -> tuple[int, str]:
         source = args.profile
     else:
         matrix = cfgmod.load_matrix(args.matrix)
-        source = args.matrix
+        source = cfgmod.shown(args.matrix)
 
     solution = ahp.principal_eigenvector(matrix)
     report = cfgmod._at(source, ahp.consistency, solution)  # no random index for the size
@@ -175,14 +175,13 @@ def cmd_schedule(args: argparse.Namespace) -> tuple[int, str]:
     if threshold is None:
         raise ValueError("no threshold given; pass --threshold or set defaults.threshold in the config")
     if not receivers:  # rank checks this too, but cannot name the file
-        raise ValueError(f"{args.receivers}: at least one receiver is required")
+        raise ValueError(f"{cfgmod.shown(args.receivers)}: at least one receiver is required")
     if args.now is not None:
         now = args.now
         late = next((r for r in records if r.generated_at > now), None)
         if late is not None:  # rank checks this too, but cannot name the file
-            raise ValueError(
-                f"{args.records}: record {late.id!r} has t0 {late.generated_at}, after --now {now}"
-            )
+            raise ValueError(f"{cfgmod.shown(args.records)}: record {late.id!r} has t0 "
+                             f"{late.generated_at}, after --now {now}")
     else:
         now = max((r.generated_at for r in records), default=0.0)
     sched_cfg = SchedulerConfig(

@@ -102,7 +102,12 @@ def _text(path: str, data: bytes, line: int = 1) -> str:
         head = data[: exc.start].decode().replace("\r\n", "\n").replace("\r", "\n")
         line += head.count("\n")
         column = len(head) - head.rfind("\n")
-        raise ValueError(f"{path}:{line}: not UTF-8 text: {exc.reason} at column {column}") from None
+        raise ValueError(f"{shown(path)}:{line}: not UTF-8 text: {exc.reason} at column {column}") from None
+
+
+def shown(path: str) -> str:
+    """path as messages print it: through repr unless printable, so no line break splits a message."""
+    return path if path.isprintable() else repr(path)
 
 
 def _read(path: str) -> bytes:
@@ -128,16 +133,16 @@ def read_json(path: str) -> object:
     CRLF and CR read as LF, as in text mode, so json's positions count lines alike.
     """
     text = _text(path, _read(path)).replace("\r\n", "\n").replace("\r", "\n")
-    return _at(path, _json, text)
+    return _at(shown(path), _json, text)
 
 
 def load_config(path: str | None) -> ConfigDocument:
-    return default_config() if path is None else _at(path, parse_config, read_json(path))
+    return default_config() if path is None else _at(shown(path), parse_config, read_json(path))
 
 
 def load_matrix(path: str) -> ahp.ComparisonMatrix:
     """A comparison matrix file, in either form parse_matrix reads."""
-    return _at(path, parse_matrix, read_json(path))
+    return _at(shown(path), parse_matrix, read_json(path))
 
 
 def _at(where: str, build: Callable[..., object], *args: object) -> object:
@@ -305,7 +310,7 @@ def _read_jsonl(path: str, kind: str, parse: Callable[[dict], object]) -> list:
             if first != lineno:
                 raise ValueError(f"duplicate {kind} id {item_id!r} (first on line {first})")
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
+            raise ValueError(f"{shown(path)}:{lineno}: {exc}") from None
     return items
 
 
@@ -388,4 +393,4 @@ def _parse_sweep_spec(data: object, cfg: ConfigDocument) -> SweepSpec:
 
 def load_sweep_spec(path: str, cfg: ConfigDocument) -> SweepSpec:
     """Read a sweep spec; profile, scenario and sensor names resolve in cfg."""
-    return _at(path, _parse_sweep_spec, read_json(path), cfg)
+    return _at(shown(path), _parse_sweep_spec, read_json(path), cfg)

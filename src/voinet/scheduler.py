@@ -19,7 +19,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from . import voi
-from ._checked import Checked
+from ._checked import Checked, non_negative
 
 
 class PerceptionRecord(Checked, namedtuple(
@@ -30,8 +30,7 @@ class PerceptionRecord(Checked, namedtuple(
     __slots__ = ()
 
     def __new__(cls, id, source_vehicle, generated_at, object_distance, temporal, sensor, mode=voi.PROCESSED):
-        if not object_distance >= 0:
-            raise ValueError(f"object distance must be non-negative, got {object_distance}")
+        non_negative("object distance", object_distance)
         voi.check_mode(mode)
         return tuple.__new__(cls, (id, source_vehicle, generated_at, object_distance, temporal, sensor, mode))
 
@@ -42,9 +41,7 @@ class ReceiverView(Checked, namedtuple("ReceiverView", "receiver_id distance sce
     __slots__ = ()
 
     def __new__(cls, receiver_id: str, distance: float, scenario: voi.Scenario) -> ReceiverView:
-        if not distance >= 0:
-            raise ValueError(f"receiver distance must be non-negative, got {distance}")
-        return tuple.__new__(cls, (receiver_id, distance, scenario))
+        return tuple.__new__(cls, (receiver_id, non_negative("receiver distance", distance), scenario))
 
 
 class SchedulerConfig(Checked, namedtuple("SchedulerConfig", "profile threshold now params")):

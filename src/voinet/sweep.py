@@ -12,7 +12,7 @@ import math
 from collections import namedtuple
 from io import StringIO
 
-from ._checked import Checked, check_csv_text
+from ._checked import Checked, check_csv_text, non_negative, positive
 from .voi import (
     DEFAULT_LOGISTIC,
     DYNAMIC,
@@ -82,8 +82,8 @@ class SweepSeries(Checked, namedtuple(
             raise ValueError(f"attribute must be one of {ATTRIBUTE_CHOICES}, got {attribute!r}")
         check_mode(mode)
         for name, value in (("aoi", aoi), ("distance", distance), ("obs_distance", obs_distance)):
-            if value is not None and not value >= 0:
-                raise ValueError(f"{name} must be non-negative, got {value}")
+            if value is not None:
+                non_negative(name, value)
         self = tuple.__new__(
             cls, (label, profile, scenario, temporal, sensor, mode, attribute, aoi, distance, obs_distance)
         )
@@ -117,12 +117,10 @@ class SweepSpec(Checked, namedtuple("SweepSpec", "variable start stop step serie
         for field, value in (("start", start), ("stop", stop), ("step", step)):
             if not math.isfinite(value):
                 raise ValueError(f"{field} must be finite, got {value}")
-        if step <= 0:
-            raise ValueError(f"step must be positive, got {step}")
+        positive("step", step)
         if start > stop:
             raise ValueError(f"start {start} exceeds stop {stop}")
-        if start < 0:
-            raise ValueError(f"start must be non-negative, got {start}")
+        non_negative("start", start)
         if not series:
             raise ValueError("at least one series is required")
         for field, text in (("name", name), *(("notes", note) for note in notes)):

@@ -16,7 +16,7 @@ from collections import namedtuple
 from collections.abc import Callable
 
 from . import ahp
-from ._checked import Checked
+from ._checked import Checked, non_negative, positive
 
 PROCESSED = "processed"
 NON_PROCESSED = "non_processed"
@@ -47,8 +47,7 @@ class LogisticParams(Checked, namedtuple("LogisticParams", "upper lower offset s
             if not math.isfinite(value):
                 raise ValueError(f"logistic {name} must be finite, got {value}")
         for name, value in zip(cls._fields[2:], values[2:]):  # offset, scale, decay, shape
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            positive(name, value)
         try:
             stretch = offset ** (-1.0 / shape)
         except OverflowError:  # an offset below 1 with a tiny shape
@@ -64,9 +63,7 @@ DEFAULT_LOGISTIC = LogisticParams()
 
 def safety_distance(v_max: float) -> float:
     """Safety distance (m) for a speed limit: twice v_max."""
-    if not v_max > 0:
-        raise ValueError(f"speed limit must be positive, got {v_max}")
-    return 2.0 * v_max
+    return 2.0 * positive("speed limit", v_max)
 
 
 def focal_distance(resolution: float, fov: float) -> float:
@@ -76,8 +73,7 @@ def focal_distance(resolution: float, fov: float) -> float:
         resolution: horizontal resolution (px), > 0.
         fov: horizontal field of view (degrees), in (0, 180).
     """
-    if not resolution > 0:
-        raise ValueError(f"resolution must be positive, got {resolution}")
+    positive("resolution", resolution)
     if not (0.0 < fov < 180.0):
         raise ValueError(f"field of view must be in (0, 180) degrees, got {fov}")
     return (resolution / 2.0) / math.tan(math.radians(fov) / 2.0)
@@ -115,10 +111,8 @@ class Scenario(Checked, namedtuple("Scenario", "kind v_max safety_distance los_m
                 f"pass los_model or use one of {sorted(_BUILTIN_LOS)}"
             )
         # safety_distance first: a config that gives only it derives v_max from it.
-        if not safety_distance > 0:
-            raise ValueError(f"safety distance must be positive, got {safety_distance}")
-        if not v_max > 0:
-            raise ValueError(f"speed limit must be positive, got {v_max}")
+        positive("safety distance", safety_distance)
+        positive("speed limit", v_max)
         return tuple.__new__(cls, (kind, v_max, safety_distance, los_model))
 
     @classmethod
@@ -139,9 +133,7 @@ class TemporalClass(Checked, namedtuple("TemporalClass", "name decay")):
     __slots__ = ()
 
     def __new__(cls, name: str, decay: float) -> TemporalClass:
-        if not decay >= 0:
-            raise ValueError(f"temporal decay must be non-negative, got {decay}")
-        return tuple.__new__(cls, (name, decay))
+        return tuple.__new__(cls, (name, non_negative("temporal decay", decay)))
 
 
 STATIC = TemporalClass("static", 0.0)
@@ -169,8 +161,7 @@ class SensorModel(Checked, namedtuple("SensorModel", "height fov resolution foca
     _derived = 1  # focal
 
     def __new__(cls, height: float, fov: float, resolution: float) -> SensorModel:
-        if not height > 0:
-            raise ValueError(f"sensor height must be positive, got {height}")
+        positive("sensor height", height)
         focal = focal_distance(resolution, fov)
         if not height * focal > 0:  # quality divides by it; tiny factors underflow to 0
             raise ValueError(f"sensor height * focal distance must be positive, got {height} * {focal}")
@@ -199,12 +190,10 @@ class AssessmentContext(Checked, namedtuple(
         cls, distance: float, aoi: float, scenario: Scenario, temporal: TemporalClass,
         sensor: SensorModel, mode: str = PROCESSED, obs_distance: float | None = None,
     ) -> AssessmentContext:
-        if not distance >= 0:
-            raise ValueError(f"distance must be non-negative, got {distance}")
-        if not aoi >= 0:
-            raise ValueError(f"age of information must be non-negative, got {aoi}")
-        if obs_distance is not None and not obs_distance >= 0:
-            raise ValueError(f"observation distance must be non-negative, got {obs_distance}")
+        non_negative("distance", distance)
+        non_negative("age of information", aoi)
+        if obs_distance is not None:
+            non_negative("observation distance", obs_distance)
         check_mode(mode)
         return tuple.__new__(cls, (distance, aoi, scenario, temporal, sensor, mode, obs_distance))
 
@@ -327,8 +316,7 @@ def proximity_voi(
     Full value is kept up to roughly the safety distance, after which the
     score decays toward params.lower.
     """
-    if not distance >= 0:
-        raise ValueError(f"distance must be non-negative, got {distance}")
+    non_negative("distance", distance)
     try:
         denominator = (
             params.offset + params.scale * math.exp(-params.decay * (distance - safety_distance))
@@ -340,8 +328,7 @@ def proximity_voi(
 
 def timeliness_voi(aoi: float, temporal: TemporalClass) -> float:
     """Timeliness score: exponential decay of value with age."""
-    if not aoi >= 0:
-        raise ValueError(f"age of information must be non-negative, got {aoi}")
+    non_negative("age of information", aoi)
     if temporal.decay == 0.0:  # no decay at any age; 0 * an infinite age is NaN
         return 1.0
     return math.exp(-temporal.decay * aoi)
@@ -353,16 +340,13 @@ def quality_voi_processed(obs_distance: float, sensor: SensorModel) -> float:
     Falls linearly with the observation distance and hits 0 at
     height * focal; observations beyond that carry no quality value.
     """
-    if not obs_distance >= 0:
-        raise ValueError(f"observation distance must be non-negative, got {obs_distance}")
-    raw = 1.0 - obs_distance / (sensor.height * sensor.focal)
+    raw = 1.0 - non_negative("observation distance", obs_distance) / (sensor.height * sensor.focal)
     return min(1.0, max(0.0, raw))
 
 
 def los_probability(distance: float, scenario: Scenario) -> float:
     """Probability of an unobstructed line of sight at a distance."""
-    if not distance >= 0:
-        raise ValueError(f"distance must be non-negative, got {distance}")
+    non_negative("distance", distance)
     model = scenario.los_model or _BUILTIN_LOS[scenario.kind]
     return min(1.0, max(0.0, model(distance)))
 

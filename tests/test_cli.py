@@ -366,6 +366,8 @@ def test_json_nested_too_deep_is_located(capsys, tmp_path):
     records, receivers = tmp_path / "records.jsonl", tmp_path / "receivers.jsonl"
     other = tmp_path / "deep.json"
     other.write_text(deep)
+    split = tmp_path / "a\nb.json"  # named through repr, so that the error stays one line
+    split.write_text(deep)
     schedule = ("schedule", "--records", str(records), "--receivers", str(receivers),
                 "--profile", "safety", "--threshold", "0.5")
     for record_lines, receiver_lines, args, where in (
@@ -374,6 +376,8 @@ def test_json_nested_too_deep_is_located(capsys, tmp_path):
         ([], [], ("assess", "--config", str(other), "--profile", "safety", "--distance", "1"), other),
         ([], [], ("weights", "--matrix", str(other)), other),
         ([], [], ("sweep", "--spec", str(other), "--out", str(tmp_path / "never.csv")), other),
+        ([], [good_receiver], schedule[:2] + (str(split),) + schedule[3:], f"{str(split)!r}:1"),
+        ([], [], ("weights", "--matrix", str(split)), repr(str(split))),
     ):
         records.write_text("".join(line + "\n" for line in record_lines))
         receivers.write_text("".join(line + "\n" for line in receiver_lines))

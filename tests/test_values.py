@@ -6,6 +6,7 @@ import pickle
 import pytest
 
 from voinet import ahp, scheduler, sweep, voi
+from voinet._checked import non_negative, positive
 
 _SERIES = sweep.SweepSeries("s", attribute="proximity", scenario=voi.URBAN)
 _SERIES_AT_ZERO = dict(label="z", profile=voi.SAFETY, scenario=voi.URBAN, temporal=voi.STATIC,
@@ -36,6 +37,8 @@ CASES = [
      ("v_max", 0.0), "speed limit must be positive, got 0.0"),
     (voi.Scenario, dict(kind="urban", v_max=12.0, safety_distance=24.0, los_model=None),
      ("v_max", _NAN), "speed limit must be positive, got nan"),
+    (voi.Scenario, dict(kind="urban", v_max=12.0, safety_distance=24.0, los_model=None),
+     ("safety_distance", -1.0), "safety distance must be positive, got -1.0"),
     (voi.TemporalClass, dict(name="t", decay=1.0),
      ("decay", -1.0), "temporal decay must be non-negative, got -1.0"),
     (voi.TemporalClass, dict(name="t", decay=1.0),
@@ -44,6 +47,8 @@ CASES = [
      ("height", 0.0), "sensor height must be positive, got 0.0"),
     (voi.SensorModel, dict(height=1.2, fov=70.0, resolution=640.0),
      ("height", _NAN), "sensor height must be positive, got nan"),
+    (voi.SensorModel, dict(height=1.2, fov=70.0, resolution=640.0),
+     ("height", -1.0), "sensor height must be positive, got -1.0"),
     (voi.AssessmentContext, _CONTEXT,
      ("aoi", -1.0), "age of information must be non-negative, got -1.0"),
     (voi.AssessmentContext, _CONTEXT, *_BAD_MODE),
@@ -80,6 +85,14 @@ CASES = [
      dict(variable="distance", start=0.0, stop=10.0, step=1.0, series=(_SERIES,),
           obs_grid=None, name="custom", notes=()),
      ("obs_grid", 0.0), "obs_grid must be positive and finite, got 0.0"),
+    (sweep.SweepSpec,
+     dict(variable="distance", start=0.0, stop=10.0, step=1.0, series=(_SERIES,),
+          obs_grid=None, name="custom", notes=()),
+     ("step", -1.0), "step must be positive, got -1.0"),
+    (sweep.SweepSpec,
+     dict(variable="distance", start=0.0, stop=10.0, step=1.0, series=(_SERIES,),
+          obs_grid=None, name="custom", notes=()),
+     ("start", -1.0), "start must be non-negative, got -1.0"),
 ]
 
 
@@ -108,6 +121,19 @@ def test_every_construction_path_runs_the_checks(cls, fields, bad, message):
         assert str(info.value) == message
     with pytest.raises(AttributeError):
         setattr(good, name, value)
+
+
+def test_the_range_rules_return_the_value_or_word_its_fault():
+    for value in (0.0, -0.0, 2.5, float("inf")):
+        assert non_negative("x", value) is value
+    for value in (5e-324, 2.5, float("inf")):
+        assert positive("x", value) is value
+    for rule, word, bad in ((non_negative, "non-negative", (-5e-324, -1.0, float("-inf"), _NAN)),
+                            (positive, "positive", (0.0, -0.0, -1.0, _NAN))):
+        for value in bad:
+            with pytest.raises(ValueError) as info:
+                rule("x", value)
+            assert str(info.value) == f"x must be {word}, got {value}"
 
 
 def test_matrix_and_weights_are_stored_as_float_tuples():

@@ -27,6 +27,8 @@ def test_safety_distance():
         voi.safety_distance(0.0)
     with pytest.raises(ValueError, match=r"^speed limit must be positive, got nan$"):
         voi.safety_distance(math.nan)
+    with pytest.raises(ValueError, match=r"^speed limit must be positive, got -1\.0$"):
+        voi.safety_distance(-1.0)
 
 
 def test_builtin_scenarios():
@@ -57,6 +59,8 @@ def test_focal_distance():
         voi.focal_distance(0.0, 70.0)
     with pytest.raises(ValueError, match=r"^resolution must be positive, got nan$"):
         voi.focal_distance(math.nan, 70.0)
+    with pytest.raises(ValueError, match=r"^resolution must be positive, got -1\.0$"):
+        voi.focal_distance(-1.0, 70.0)
     with pytest.raises(ValueError, match="field of view"):
         voi.focal_distance(1280.0, 180.0)
     with pytest.raises(ValueError, match=r"^field of view must be in \(0, 180\) degrees, got 0\.0$"):

@@ -94,6 +94,8 @@ def cases() -> dict[str, tuple[list[str], dict]]:
         "weights-traffic": (["weights", "--profile", "traffic"], {}),
         "weights-matrix": matrix(MATRIX),
         "weights-rows": matrix(MATRIX["matrix"]),
+        "weights-matrix-line-break-path": (["weights", "--matrix", "m\nx.json"],
+                                           {"m\nx.json": json.dumps(MATRIX)}),
         "presets": (["presets"], {}),
         "assess-default": (["assess", "--profile", "safety", "--distance", "100"], {}),
         "assess-nonprocessed": (["assess", "--profile", "traffic", "--distance", "40", "--aoi", "0.5",
@@ -135,6 +137,8 @@ def cases() -> dict[str, tuple[list[str], dict]]:
         "records-missing-file": (SCHEDULE + ["--threshold", "0.5"], {"v.jsonl": jsonl(RECEIVER)}),
         "records-a-directory": schedule(jsonl(RECORD), jsonl(RECEIVER), "--records", "."),
         "records-invalid-json": schedule('{"id": "r1",\n'),
+        "records-line-break-path": schedule(jsonl(RECORD), jsonl(RECEIVER), "--records", "a\nb.jsonl",
+                                            **{"a\nb.jsonl": '{"id": "r1",\n'}),
         "records-not-an-object": schedule("[1, 2]\n"),
         "records-missing-d_o": schedule(jsonl(record(d_o=None))),
         "records-negative-d_o": schedule(jsonl(record(d_o=-1.0))),
@@ -175,6 +179,7 @@ def cases() -> dict[str, tuple[list[str], dict]]:
         "matrix-too-large": matrix([[1] * 11 for _ in range(11)]),
         "matrix-label-space": matrix({"labels": ["a b", "c"], "matrix": [[1, 2], [0.5, 1]]}),
         "matrix-not-numbers": matrix([[1, "2"], [0.5, 1]]),
+        "matrix-line-break-path": (["weights", "--matrix", "m\nx.json"], {"m\nx.json": "[[1, 2], [0.5"}),
         "spec-missing-start": spec(start=None),
         "spec-step-0": spec(step=0),
         "spec-start-after-stop": spec(start=200),
