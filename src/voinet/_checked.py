@@ -7,8 +7,10 @@ tuple without ``__new__``; ``Checked`` sends both through ``__new__``, so no
 way of constructing a value skips its checks. ``check_csv_text`` is the one
 rule for text that a CSV prints: record and receiver ids and sweep series
 labels, unquoted, and the names and notes in a sweep CSV's comment lines.
-``non_negative`` and ``positive`` are the two range rules for numbers: each
-holds the one comparison that NaN fails and the one wording of its error.
+``non_negative``, ``positive`` and ``unit_interval`` are the range rules for
+numbers: each holds the one comparison that NaN fails and the one wording of
+its error. ``one_of`` is the membership rule for a value drawn from a fixed
+set of choices, such as a quality mode or a sweep variable.
 """
 
 from __future__ import annotations
@@ -77,4 +79,18 @@ def positive(what: str, value: float) -> float:
     """value, unless it is zero, negative or NaN: then a ValueError naming what."""
     if not value > 0:
         raise ValueError(f"{what} must be positive, got {value}")
+    return value
+
+
+def unit_interval(what: str, value: float) -> float:
+    """value, unless it lies outside [0, 1] or is NaN: then a ValueError naming what."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{what} must be in [0, 1], got {value}")
+    return value
+
+
+def one_of(what: str, value: object, choices: tuple) -> object:
+    """value, unless it is not among choices: then a ValueError naming what and the choices."""
+    if value not in choices:
+        raise ValueError(f"{what} must be one of {choices}, got {value!r}")
     return value

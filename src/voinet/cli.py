@@ -164,7 +164,7 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[int, str]:
     curves = run_sweep(spec, cfg.logistic)
     out_path = args.out or f"{spec.name}.csv"
     _write(out_path, curves.to_csv())
-    return 0, f"wrote {len(curves.xs)} rows x {len(spec.series)} series to {out_path}\n"
+    return 0, f"wrote {len(curves.xs)} rows x {len(spec.series)} series to {cfgmod.shown(out_path)}\n"
 
 
 def cmd_schedule(args: argparse.Namespace) -> tuple[int, str]:
@@ -174,23 +174,15 @@ def cmd_schedule(args: argparse.Namespace) -> tuple[int, str]:
     threshold = args.threshold if args.threshold is not None else cfg.threshold
     if threshold is None:
         raise ValueError("no threshold given; pass --threshold or set defaults.threshold in the config")
-    if not receivers:  # rank checks this too, but cannot name the file
-        raise ValueError(f"{cfgmod.shown(args.receivers)}: at least one receiver is required")
-    if args.now is not None:
-        now = args.now
-        late = next((r for r in records if r.generated_at > now), None)
-        if late is not None:  # rank checks this too, but cannot name the file
-            raise ValueError(f"{cfgmod.shown(args.records)}: record {late.id!r} has t0 "
-                             f"{late.generated_at}, after --now {now}")
-    else:
-        now = max((r.generated_at for r in records), default=0.0)
+    now = args.now if args.now is not None else max((r.generated_at for r in records), default=0.0)
     sched_cfg = SchedulerConfig(
         profile=cfgmod.resolve_name(cfg.profiles, args.profile, "profile"),
         threshold=threshold,
         now=now,
         params=cfg.logistic,
     )
-    ranked = rank(records, receivers, sched_cfg)
+    # The readers reject repeated ids and an empty receivers file, so only a late record gets here.
+    ranked = cfgmod._at(cfgmod.shown(args.records), rank, records, receivers, sched_cfg)
     transmit, cancelled = filter_broadcast(ranked, sched_cfg)
     sent = len(transmit)  # ranked falls in value, so transmit is its prefix
 

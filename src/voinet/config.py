@@ -18,7 +18,7 @@ from collections.abc import Callable, Mapping
 from functools import partial
 
 from . import ahp
-from ._checked import check_csv_text
+from ._checked import check_csv_text, unit_interval
 from .scheduler import PerceptionRecord, ReceiverView
 from .sweep import SweepSeries, SweepSpec
 from .voi import (
@@ -82,9 +82,7 @@ def parse_config(data: object) -> ConfigDocument:
     logistic = _at("defaults.logistic", _parse_logistic, _section(defaults, "logistic"))
     threshold = None
     if defaults.get("threshold") is not None:
-        threshold = _at("defaults", _number, defaults, "threshold")
-        if not (0.0 <= threshold <= 1.0):
-            raise ValueError(f"defaults.threshold must be in [0, 1], got {threshold}")
+        threshold = unit_interval("defaults.threshold", _at("defaults", _number, defaults, "threshold"))
     return ConfigDocument(**tables, logistic=logistic, threshold=threshold)
 
 
@@ -196,9 +194,7 @@ def _parse_profile(name: str, obj: Mapping[str, object]) -> ApplicationProfile:
         weights = obj["weights"]
         if not isinstance(weights, Mapping) or set(weights) != set(ATTRIBUTES):
             raise ValueError(f"weights must be an object with keys {ATTRIBUTES}")
-        if not all(_is_finite_number(weights[k]) for k in ATTRIBUTES):
-            raise ValueError(f"weights must be finite numbers, got {dict(weights)}")
-        values = {k: float(weights[k]) for k in ATTRIBUTES}
+        values = {k: _number(weights, k) for k in ATTRIBUTES}
         total = sum(values.values())
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {total!r}, expected 1")
@@ -349,8 +345,11 @@ def _parse_receiver(cfg: ConfigDocument, obj: dict) -> ReceiverView:
 
 
 def load_receivers(path: str, cfg: ConfigDocument) -> list[ReceiverView]:
-    """Read receiver views, one JSON object per line: id, distance, scenario."""
-    return _read_jsonl(path, "receiver", partial(_parse_receiver, cfg))
+    """Read receiver views, one JSON object per line: id, distance, scenario; at least one."""
+    receivers = _read_jsonl(path, "receiver", partial(_parse_receiver, cfg))
+    if not receivers:
+        raise ValueError(f"{shown(path)}: at least one receiver is required")
+    return receivers
 
 
 def _parse_series(obj: object, cfg: ConfigDocument) -> SweepSeries:

@@ -19,7 +19,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from . import voi
-from ._checked import Checked, non_negative
+from ._checked import Checked, non_negative, one_of, unit_interval
 
 
 class PerceptionRecord(Checked, namedtuple(
@@ -31,7 +31,7 @@ class PerceptionRecord(Checked, namedtuple(
 
     def __new__(cls, id, source_vehicle, generated_at, object_distance, temporal, sensor, mode=voi.PROCESSED):
         non_negative("object distance", object_distance)
-        voi.check_mode(mode)
+        one_of("mode", mode, voi.MODES)
         return tuple.__new__(cls, (id, source_vehicle, generated_at, object_distance, temporal, sensor, mode))
 
 
@@ -53,9 +53,7 @@ class SchedulerConfig(Checked, namedtuple("SchedulerConfig", "profile threshold 
         cls, profile: voi.ApplicationProfile, threshold: float, now: float,
         params: voi.LogisticParams = voi.DEFAULT_LOGISTIC,
     ) -> SchedulerConfig:
-        if not (0.0 <= threshold <= 1.0):
-            raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-        return tuple.__new__(cls, (profile, threshold, now, params))
+        return tuple.__new__(cls, (profile, unit_interval("threshold", threshold), now, params))
 
 
 class RankedEntry(namedtuple("RankedEntry", "record_id best_value best_receiver")):
@@ -116,8 +114,7 @@ def _proximity_groups(
     scored = []
     for view in receivers:
         p = voi.proximity_voi(view.distance, view.scenario.safety_distance, cfg.params)
-        voi.check_score("proximity", p)
-        scored.append((-p, view.receiver_id, view.scenario))
+        scored.append((-unit_interval("proximity score", p), view.receiver_id, view.scenario))
     scored.sort()  # by falling P, then id; ids are unique, so no scenarios are compared
     merged, groups = [], {}
     for minus_p, receiver_id, scenario in scored:
@@ -147,16 +144,16 @@ def rank(
     # Names bound once: a local reads faster than a field or a module attribute. The sum
     # is ApplicationProfile.overall's, term for term, so values stay bitwise score_record's.
     now, (w_t, w_p, w_q), processed = cfg.now, cfg.profile.weights, voi.PROCESSED
-    timeliness_voi, quality_voi, check_score = voi.timeliness_voi, voi.quality_voi, voi.check_score
+    timeliness_voi, quality_voi, check_score = voi.timeliness_voi, voi.quality_voi, unit_interval
 
     entries = []
     for record in records:
         t = timeliness_voi(_age(record, now), record.temporal)
-        check_score("timeliness", t)
+        check_score("timeliness score", t)
         best_value, best_receiver = -1.0, ""  # every value is >= 0
         for scenario, members in merged_walk if record.mode == processed else groups:
             q = quality_voi(record.object_distance, record.sensor, scenario, record.mode)
-            check_score("quality", q)
+            check_score("quality score", q)
             top = None
             for p, receiver_id in members:
                 value = w_t * t + w_p * p + w_q * q

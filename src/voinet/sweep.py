@@ -12,11 +12,12 @@ import math
 from collections import namedtuple
 from io import StringIO
 
-from ._checked import Checked, check_csv_text, non_negative, positive
+from ._checked import Checked, check_csv_text, non_negative, one_of, positive, unit_interval
 from .voi import (
     DEFAULT_LOGISTIC,
     DYNAMIC,
     HIGHWAY,
+    MODES,
     NON_PROCESSED,
     PROCESSED,
     SAFETY,
@@ -30,8 +31,6 @@ from .voi import (
     Scenario,
     SensorModel,
     TemporalClass,
-    check_mode,
-    check_score,
     proximity_voi,
     quality_voi,
     timeliness_voi,
@@ -78,9 +77,8 @@ class SweepSeries(Checked, namedtuple(
         for field, value in (("profile", profile), ("scenario", scenario), ("temporal", temporal)):
             if value is not None:  # its name (a scenario's kind) is printed in a "# series" line
                 check_csv_text(field, value[0], comment=True)
-        if attribute not in ATTRIBUTE_CHOICES:
-            raise ValueError(f"attribute must be one of {ATTRIBUTE_CHOICES}, got {attribute!r}")
-        check_mode(mode)
+        one_of("attribute", attribute, ATTRIBUTE_CHOICES)
+        one_of("mode", mode, MODES)
         for name, value in (("aoi", aoi), ("distance", distance), ("obs_distance", obs_distance)):
             if value is not None:
                 non_negative(name, value)
@@ -112,8 +110,7 @@ class SweepSpec(Checked, namedtuple("SweepSpec", "variable start stop step serie
         cls, variable: str, start: float, stop: float, step: float, series: tuple[SweepSeries, ...],
         obs_grid: float | None = None, name: str = "custom", notes: tuple[str, ...] = (),
     ) -> SweepSpec:
-        if variable not in VARIABLES:
-            raise ValueError(f"variable must be one of {VARIABLES}, got {variable!r}")
+        one_of("variable", variable, VARIABLES)
         for field, value in (("start", start), ("stop", stop), ("step", step)):
             if not math.isfinite(value):
                 raise ValueError(f"{field} must be finite, got {value}")
@@ -236,8 +233,9 @@ def _score_pass(
     if attribute in ("overall", "quality"):
         scores["quality"] = [quality_voi(d, series.sensor, scenario, series.mode) for d in obs]
     for name, values in scores.items():
+        what = f"{name} score"
         for value in values:
-            check_score(name, value)
+            unit_interval(what, value)
     return tuple(scores.values())
 
 

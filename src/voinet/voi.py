@@ -16,7 +16,7 @@ from collections import namedtuple
 from collections.abc import Callable
 
 from . import ahp
-from ._checked import Checked, non_negative, positive
+from ._checked import Checked, non_negative, one_of, positive, unit_interval
 
 PROCESSED = "processed"
 NON_PROCESSED = "non_processed"
@@ -33,7 +33,7 @@ class LogisticParams(Checked, namedtuple("LogisticParams", "upper lower offset s
     large distance; offset and scale shape the denominator, decay (1/m)
     sets how fast the curve falls, shape the asymmetry exponent. The curve
     is monotone in distance, between upper and its far-distance limit
-    upper + (lower - upper) * offset**(-1/shape); both must lie in [0, 1].
+    upper + (lower - upper) * offset**(-1/shape); both must be in [0, 1].
     """
 
     __slots__ = ()
@@ -52,9 +52,8 @@ class LogisticParams(Checked, namedtuple("LogisticParams", "upper lower offset s
             stretch = offset ** (-1.0 / shape)
         except OverflowError:  # an offset below 1 with a tiny shape
             stretch = math.inf
-        for name, value in (("upper", upper), ("far-distance limit", upper + (lower - upper) * stretch)):
-            if not (0.0 <= value <= 1.0):
-                raise ValueError(f"logistic {name} must lie in [0, 1], got {value}")
+        unit_interval("logistic upper", upper)
+        unit_interval("logistic far-distance limit", upper + (lower - upper) * stretch)
         return tuple.__new__(cls, values)
 
 
@@ -194,7 +193,7 @@ class AssessmentContext(Checked, namedtuple(
         non_negative("age of information", aoi)
         if obs_distance is not None:
             non_negative("observation distance", obs_distance)
-        check_mode(mode)
+        one_of("mode", mode, MODES)
         return tuple.__new__(cls, (distance, aoi, scenario, temporal, sensor, mode, obs_distance))
 
     @property
@@ -210,22 +209,10 @@ class AttributeScores(Checked, namedtuple("AttributeScores", "proximity timeline
     __slots__ = ()
 
     def __new__(cls, proximity: float, timeliness: float, quality: float) -> AttributeScores:
-        check_score("proximity", proximity)
-        check_score("timeliness", timeliness)
-        check_score("quality", quality)
+        unit_interval("proximity score", proximity)
+        unit_interval("timeliness score", timeliness)
+        unit_interval("quality score", quality)
         return tuple.__new__(cls, (proximity, timeliness, quality))
-
-
-def check_score(name: str, value: float) -> None:
-    """Raise if a conditional score is outside [0, 1] or NaN."""
-    if not (0.0 <= value <= 1.0):
-        raise ValueError(f"{name} score {value!r} is outside [0, 1]")
-
-
-def check_mode(mode: str) -> None:
-    """Raise unless mode is one of MODES."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
 class ApplicationProfile(Checked, namedtuple("ApplicationProfile", "name timeliness proximity quality")):

@@ -262,6 +262,13 @@ def test_sweep_preset_is_byte_deterministic(capsys, tmp_path):
     assert float(data[0][column]) == pytest.approx(0.985829, abs=1e-3)
 
 
+def test_sweep_prints_an_output_path_with_a_line_break_on_one_line(capsys, tmp_path):
+    path = tmp_path / "o\nx.csv"
+    code, out, err = run_cli(capsys, "sweep", "--figure", "fig3a", "--out", str(path))
+    assert (code, err) == (0, "") and path.exists()
+    assert out == f"wrote 51 rows x 4 series to {str(path)!r}\n" and out.endswith("o\\nx.csv'\n")
+
+
 def test_sweep_unknown_figure(capsys):
     code, _, err = run_cli(capsys, "sweep", "--figure", "fig9z")
     assert code == 1
@@ -498,6 +505,14 @@ def test_schedule_input_errors(capsys, tmp_path):
     )
     assert code == 1 and err == f"error: {rcv}: at least one receiver is required\n"
 
+    # The receivers file's reader rejects it before a missing threshold is noticed.
+    code, _, err = run_cli(
+        capsys, "schedule", "--records", rec, "--receivers", rcv, "--profile", "safety",
+    )
+    assert code == 1 and err == f"error: {rcv}: at least one receiver is required\n"
+
+    rec, rcv = schedule_files(tmp_path, [base_record("r", 10.0)],
+                              [{"id": "a", "distance": 100.0, "scenario": "urban"}])
     code, _, err = run_cli(
         capsys, "schedule", "--records", rec, "--receivers", rcv, "--profile", "safety",
     )
@@ -566,7 +581,13 @@ def test_schedule_input_errors(capsys, tmp_path):
         "--profile", "safety", "--threshold", "0.5", "--now", "1",
     )
     assert code == 1 and out == ""
-    assert err == f"error: {rec}: record 'late' has t0 5.0, after --now 1.0\n"
+    assert err == f"error: {rec}: record 'late' was generated at 5.0, after the scheduler clock 1.0\n"
+
+    code, out, err = run_cli(  # the profile is resolved before rank meets the late record
+        capsys, "schedule", "--records", rec, "--receivers", rcv,
+        "--profile", "nope", "--threshold", "0.5", "--now", "1",
+    )
+    assert code == 1 and out == "" and err.startswith("error: unknown profile 'nope'")
 
 
 def golden_batch(seed=9, records=300, receivers=12):
@@ -629,7 +650,7 @@ def test_schedule_rejects_a_nan_weight(capsys, tmp_path):
         "--receivers", rcv, "--profile", "p", "--threshold", "0.5",
     )
     assert code == 1 and out == ""
-    assert "profile 'p': weights must be finite" in err
+    assert err == f"error: {config}: profile 'p': field 'timeliness' must be a finite number, got NaN\n"
 
 
 def test_logistic_overflow_gives_the_limit_not_a_traceback(capsys, tmp_path):
@@ -658,9 +679,9 @@ def test_logistic_params_outside_the_unit_range_are_located(capsys, tmp_path):
     config = tmp_path / "c.json"
     out_path = tmp_path / "never.csv"
     for logistic, why in (
-        ({"lower": -1}, "logistic far-distance limit must lie in [0, 1], got -1.0"),
-        ({"upper": 2}, "logistic upper must lie in [0, 1], got 2.0"),
-        ({"offset": 0.1, "shape": 0.001}, "logistic far-distance limit must lie in [0, 1], got -inf"),
+        ({"lower": -1}, "logistic far-distance limit must be in [0, 1], got -1.0"),
+        ({"upper": 2}, "logistic upper must be in [0, 1], got 2.0"),
+        ({"offset": 0.1, "shape": 0.001}, "logistic far-distance limit must be in [0, 1], got -inf"),
     ):
         config.write_text(json.dumps({"defaults": {"logistic": logistic}}))
         code, out, err = run_cli(

@@ -43,10 +43,12 @@ def test_weight_sum_outside_tolerance_is_rejected():
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_weights_are_rejected(bad):
-    with pytest.raises(ValueError, match="profile 'p': weights must be finite"):
+    with pytest.raises(ValueError) as info:
         cfgmod.parse_config(
             {"profiles": {"p": {"weights": {"timeliness": bad, "proximity": 0.5, "quality": 0.3}}}}
         )
+    why = f"field 'timeliness' must be a finite number, got {json.dumps(bad)}"
+    assert str(info.value) == f"profile 'p': {why}"
 
 
 def test_weights_must_be_labeled():
@@ -156,7 +158,7 @@ def test_load_config_rejects_bad_documents(tmp_path):
             ({"sensors": {"s": {"resolution": bad}}},
              "sensor 's': field 'resolution' must be a finite number"),
             ({"profiles": {"p": {"weights": {"timeliness": bad, "proximity": 0.5, "quality": 0.5}}}},
-             "profile 'p': weights must be finite numbers"),
+             "profile 'p': field 'timeliness' must be a finite number"),
         ):
             path.write_text(json.dumps(doc))
             with pytest.raises(ValueError) as info:

@@ -6,7 +6,7 @@ import pickle
 import pytest
 
 from voinet import ahp, scheduler, sweep, voi
-from voinet._checked import non_negative, positive
+from voinet._checked import non_negative, one_of, positive, unit_interval
 
 _SERIES = sweep.SweepSeries("s", attribute="proximity", scenario=voi.URBAN)
 _SERIES_AT_ZERO = dict(label="z", profile=voi.SAFETY, scenario=voi.URBAN, temporal=voi.STATIC,
@@ -55,7 +55,9 @@ CASES = [
     (voi.AssessmentContext, _CONTEXT,
      ("aoi", _NAN), "age of information must be non-negative, got nan"),
     (voi.AttributeScores, dict(proximity=0.5, timeliness=0.5, quality=0.5),
-     ("quality", 1.5), "quality score 1.5 is outside [0, 1]"),
+     ("quality", 1.5), "quality score must be in [0, 1], got 1.5"),
+    (voi.AttributeScores, dict(proximity=0.5, timeliness=0.5, quality=0.5),
+     ("timeliness", _NAN), "timeliness score must be in [0, 1], got nan"),
     (voi.ApplicationProfile, dict(name="p", timeliness=0.2, proximity=0.3, quality=0.5),
      ("quality", 0.6), "weights sum to 1.1, expected 1"),
     (scheduler.PerceptionRecord, _RECORD,
@@ -70,6 +72,9 @@ CASES = [
     (scheduler.SchedulerConfig,
      dict(profile=voi.SAFETY, threshold=0.5, now=0.0, params=voi.DEFAULT_LOGISTIC),
      ("threshold", 1.5), "threshold must be in [0, 1], got 1.5"),
+    (scheduler.SchedulerConfig,
+     dict(profile=voi.SAFETY, threshold=0.5, now=0.0, params=voi.DEFAULT_LOGISTIC),
+     ("threshold", _NAN), "threshold must be in [0, 1], got nan"),
     (sweep.SweepSeries, dict(zip(sweep.SweepSeries._fields, _SERIES)),
      ("label", "a,b\nc"), "field 'label' must not hold a comma, quote or line break, got \"a,b\\nc\""),
     (sweep.SweepSeries, dict(zip(sweep.SweepSeries._fields, _SERIES)), *_BAD_MODE),
@@ -128,12 +133,23 @@ def test_the_range_rules_return_the_value_or_word_its_fault():
         assert non_negative("x", value) is value
     for value in (5e-324, 2.5, float("inf")):
         assert positive("x", value) is value
+    for value in (0.0, -0.0, 1.0):
+        assert unit_interval("x", value) is value
     for rule, word, bad in ((non_negative, "non-negative", (-5e-324, -1.0, float("-inf"), _NAN)),
-                            (positive, "positive", (0.0, -0.0, -1.0, _NAN))):
+                            (positive, "positive", (0.0, -0.0, -1.0, _NAN)),
+                            (unit_interval, "in [0, 1]", (_NAN, -5e-324, 1.0000000000000002))):
         for value in bad:
             with pytest.raises(ValueError) as info:
                 rule("x", value)
             assert str(info.value) == f"x must be {word}, got {value}"
+
+
+def test_the_membership_rule_returns_the_value_or_names_the_choices():
+    choice = "b"
+    assert one_of("x", choice, ("a", "b")) is choice
+    with pytest.raises(ValueError) as info:
+        one_of("x", "c", ("a", "b"))
+    assert str(info.value) == "x must be one of ('a', 'b'), got 'c'"
 
 
 def test_matrix_and_weights_are_stored_as_float_tuples():

@@ -90,6 +90,7 @@ def cases() -> dict[str, tuple[list[str], dict]]:
         "fanout-seed1-out": fanout(1, "--out", "ranked.csv"),
         **{f"figure-{name}": (["sweep", "--figure", name], {}) for name in workloads.FIGURE_PRESETS},
         "figure-out": (["sweep", "--figure", "fig3a", "--out", "x.csv"], {}),
+        "figure-out-line-break-path": (["sweep", "--figure", "fig3a", "--out", "o\nx.csv"], {}),
         "weights-safety": (["weights", "--profile", "safety"], {}),
         "weights-traffic": (["weights", "--profile", "traffic"], {}),
         "weights-matrix": matrix(MATRIX),
@@ -172,6 +173,8 @@ def cases() -> dict[str, tuple[list[str], dict]]:
             "c.json": json.dumps({"defaults": {"logistic": {"slope": 1}}})}),
         "config-logistic-negative-decay": schedule(jsonl(RECORD), jsonl(RECEIVER), "--config", "c.json", **{
             "c.json": json.dumps({"defaults": {"logistic": {"decay": -1}}})}),
+        "config-logistic-upper-out-of-range": schedule(jsonl(RECORD), jsonl(RECEIVER), "--config", "c.json", **{
+            "c.json": json.dumps({"defaults": {"logistic": {"upper": 1.5}}})}),
         "matrix-ragged": matrix([[1, 2, 3], [0.5, 1], [1 / 3, 1, 1]]),
         "matrix-off-scale": matrix([[1, 10], [0.1, 1]]),
         "matrix-not-reciprocal": matrix([[1, 2], [0.6, 1]]),
