@@ -152,7 +152,7 @@ def consistency(sol: EigenSolution) -> ConsistencyReport:
             f"no random consistency index for n={n}; supported sizes are "
             f"{sorted(RANDOM_INDEX)}"
         )
-    c_i = (sol.lambda_max - n) / (n - 1)
+    c_i = max(0.0, (sol.lambda_max - n) / (n - 1))  # lambda_max >= n; below n is rounding
     r_i = RANDOM_INDEX[n]
     c_r = c_i / r_i if r_i else 0.0
     return ConsistencyReport(

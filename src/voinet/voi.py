@@ -121,9 +121,9 @@ class Scenario(Checked, namedtuple("Scenario", "kind v_max safety_distance los_m
         return cls(kind, v_max, safety_distance(v_max), los_model)
 
 
-URBAN = Scenario("urban", v_max=12.0, safety_distance=24.0)
-HIGHWAY = Scenario("highway", v_max=36.0, safety_distance=72.0)
-SCENARIOS = {"urban": URBAN, "highway": HIGHWAY}
+URBAN = Scenario.from_speed_limit("urban", 12.0)
+HIGHWAY = Scenario.from_speed_limit("highway", 36.0)
+SCENARIOS = {s.kind: s for s in (URBAN, HIGHWAY)}
 
 
 class TemporalClass(Checked, namedtuple("TemporalClass", "name decay")):
@@ -248,23 +248,6 @@ class ApplicationProfile(Checked, namedtuple("ApplicationProfile", "name timelin
         return self.timeliness * timeliness + self.proximity * proximity + self.quality * quality
 
 
-# Converged eigenvector weights of BUILTIN_MATRICES (below);
-# the live derivation must agree with these within 1e-4 (tested).
-SAFETY = ApplicationProfile(
-    "safety",
-    timeliness=0.11938853460347487,
-    proximity=0.7470528319243156,
-    quality=0.13355863347220948,
-)
-TRAFFIC = ApplicationProfile(
-    "traffic",
-    timeliness=0.655355490660134,
-    proximity=0.0549003994681273,
-    quality=0.28974410987173876,
-)
-PROFILES = {"safety": SAFETY, "traffic": TRAFFIC}
-
-
 # Pairwise comparison matrices behind the safety and traffic-management
 # profiles, rows ordered like ATTRIBUTES; ComparisonMatrix checks each at import.
 BUILTIN_MATRICES = {
@@ -286,13 +269,11 @@ def profile_from_matrix(name: str, matrix: ahp.ComparisonMatrix) -> ApplicationP
     if set(matrix.labels) != set(ATTRIBUTES):
         raise ValueError(f"profile matrices must be labeled with {ATTRIBUTES}, got {matrix.labels}")
     solution = ahp.principal_eigenvector(matrix)
-    by_label = dict(zip(matrix.labels, solution.weights))
-    return ApplicationProfile(
-        name,
-        timeliness=by_label["timeliness"],
-        proximity=by_label["proximity"],
-        quality=by_label["quality"],
-    )
+    return ApplicationProfile(name, **dict(zip(matrix.labels, solution.weights)))
+
+
+PROFILES = {name: profile_from_matrix(name, m) for name, m in BUILTIN_MATRICES.items()}
+SAFETY, TRAFFIC = PROFILES["safety"], PROFILES["traffic"]
 
 
 def proximity_voi(

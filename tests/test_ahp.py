@@ -161,7 +161,7 @@ def test_random_saaty_matrix_properties(matrix):
     assert sum(solution.weights) == pytest.approx(1.0, abs=1e-12)
     assert all(w > 0 for w in solution.weights)
     report = ahp.consistency(solution)
-    assert report.consistency_index >= -1e-9
+    assert report.consistency_index >= 0.0
     assert report.acceptable == (report.consistency_ratio < 0.1)
     # A positive matrix has one real eigenvalue of largest modulus (Perron).
     values, vectors = np.linalg.eig(np.array(matrix.entries))
@@ -169,3 +169,14 @@ def test_random_saaty_matrix_properties(matrix):
     vector = vectors[:, top].real
     assert solution.lambda_max == pytest.approx(values[top].real, abs=1e-8)
     assert solution.weights == pytest.approx(tuple(vector / vector.sum()), abs=1e-8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=9), min_size=3, max_size=4))
+def test_consistent_matrices_have_a_non_negative_consistency_index(w):
+    # M[j][k] = w_j / w_k has lambda_max = n exactly; the Rayleigh quotient may round
+    # below n, and the index must not come out as a negative zero.
+    matrix = ahp.ComparisonMatrix([f"c{i}" for i in range(len(w))], [[a / b for b in w] for a in w])
+    report = ahp.consistency(ahp.principal_eigenvector(matrix))
+    assert report.consistency_index >= 0.0 and math.copysign(1.0, report.consistency_index) == 1.0
+    assert report.consistency_ratio == pytest.approx(0.0, abs=1e-9)

@@ -70,6 +70,21 @@ def test_weights_all_ones_matrix(capsys, tmp_path):
     assert float(stat_from(out, "consistency_ratio")) == 0.0
 
 
+def test_weights_of_a_consistent_matrix_print_no_negative_zero(capsys, tmp_path):
+    # The Rayleigh quotient lands just below n here; lambda_max >= n, so the index is 0.
+    path = tmp_path / "consistent.json"
+    path.write_text(json.dumps([[1, 1, 0.2], [1, 1, 0.2], [5, 5, 1]]))
+    assert run_cli(capsys, "weights", "--matrix", str(path)) == (0, (
+        f"matrix: {path} (3x3)\n"
+        "weights: timeliness=0.142857 proximity=0.142857 quality=0.714286\n"
+        "lambda_max: 3.000000\n"
+        "consistency_index: 0.000000\n"
+        "random_index: 0.58\n"
+        "consistency_ratio: 0.000000\n"
+        "acceptable: yes\n"
+    ), "")
+
+
 def test_weights_inconsistent_matrix_exits_2(capsys, tmp_path):
     path = tmp_path / "cyclic.json"
     rows = [[1, 9, 1 / 9], [1 / 9, 1, 9], [9, 1 / 9, 1]]

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from voinet import ahp, voi
-from conftest import SAFETY_ROWS, TRAFFIC_ROWS
+from conftest import ORACLE_SAFETY_WEIGHTS, ORACLE_TRAFFIC_WEIGHTS, SAFETY_ROWS, TRAFFIC_ROWS
 
 
 def make_ctx(**kw):
@@ -35,6 +35,8 @@ def test_builtin_scenarios():
     assert voi.URBAN.safety_distance == 24.0
     assert voi.HIGHWAY.safety_distance == 72.0
     assert voi.Scenario.from_speed_limit("urban", 12.0) == voi.URBAN
+    assert voi.SCENARIOS == {"urban": voi.URBAN, "highway": voi.HIGHWAY}
+    assert all(scenario.kind == kind for kind, scenario in voi.SCENARIOS.items())
 
 
 def test_scenario_validation():
@@ -247,11 +249,12 @@ def test_profile_rejects_non_finite_weights(bad):
         voi.ApplicationProfile("bad", bad, 0.5, 0.5)
 
 
-def test_live_derivation_agrees_with_frozen_profiles():
-    live = voi.profile_from_matrix("safety", voi.BUILTIN_MATRICES["safety"])
-    assert live.weights == pytest.approx(voi.SAFETY.weights, abs=1e-8)
-    live = voi.profile_from_matrix("traffic", voi.BUILTIN_MATRICES["traffic"])
-    assert live.weights == pytest.approx(voi.TRAFFIC.weights, abs=1e-8)
+def test_builtin_profiles_are_derived_from_the_builtin_matrices():
+    assert voi.SAFETY.weights == pytest.approx(ORACLE_SAFETY_WEIGHTS, abs=1e-9)
+    assert voi.TRAFFIC.weights == pytest.approx(ORACLE_TRAFFIC_WEIGHTS, abs=1e-9)
+    assert list(voi.PROFILES) == list(voi.BUILTIN_MATRICES)
+    assert all(profile.name == name for name, profile in voi.PROFILES.items())
+    assert (voi.PROFILES["safety"], voi.PROFILES["traffic"]) == (voi.SAFETY, voi.TRAFFIC)
 
 
 def test_no_decay_keeps_timeliness_at_one_at_an_infinite_age():

@@ -95,6 +95,7 @@ def cases() -> dict[str, tuple[list[str], dict]]:
         "weights-traffic": (["weights", "--profile", "traffic"], {}),
         "weights-matrix": matrix(MATRIX),
         "weights-rows": matrix(MATRIX["matrix"]),
+        "weights-consistent-3x3": matrix([[1, 1, 0.2], [1, 1, 0.2], [5, 5, 1]]),
         "weights-matrix-line-break-path": (["weights", "--matrix", "m\nx.json"],
                                            {"m\nx.json": json.dumps(MATRIX)}),
         "presets": (["presets"], {}),
