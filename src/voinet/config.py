@@ -18,7 +18,7 @@ from collections.abc import Callable, Mapping
 from functools import partial
 
 from . import ahp
-from ._checked import check_csv_text, unit_interval
+from ._checked import check_csv_text, positive, unit_interval
 from .scheduler import PerceptionRecord, ReceiverView
 from .sweep import SweepSeries, SweepSpec
 from .voi import (
@@ -35,6 +35,7 @@ from .voi import (
     Scenario,
     SensorModel,
     profile_from_matrix,
+    safety_distance,
     temporal_from_decay,
 )
 
@@ -237,10 +238,12 @@ def _parse_scenario(name: str, obj: Mapping[str, object]) -> Scenario:
     kind = _string(obj, "kind", name)
     if "v_max" not in obj and "safety_distance" not in obj:
         raise ValueError("needs v_max and/or safety_distance")
-    if "safety_distance" in obj:
-        anchor = _number(obj, "safety_distance")
-        return Scenario(kind, _number(obj, "v_max", anchor / 2.0), anchor)
-    return Scenario.from_speed_limit(kind, _number(obj, "v_max"))
+    if "safety_distance" in obj:  # it wins over v_max, which is still checked when given
+        distance = _number(obj, "safety_distance")
+        if "v_max" in obj:
+            positive("speed limit", _number(obj, "v_max"))
+        return Scenario(kind, distance)
+    return Scenario(kind, safety_distance(_number(obj, "v_max")))
 
 
 def _parse_sensor(name: str, obj: Mapping[str, object]) -> SensorModel:

@@ -95,12 +95,11 @@ def score_record(
 
 
 def _reject_duplicates(ids: Sequence[str], kind: str) -> None:
-    if len(set(ids)) < len(ids):
-        seen: set[str] = set()
-        for item in ids:
-            if item in seen:
-                raise ValueError(f"duplicate {kind} id {item!r}")
-            seen.add(item)
+    seen: set[str] = set()
+    for item in ids:
+        if item in seen:
+            raise ValueError(f"duplicate {kind} id {item!r}")
+        seen.add(item)
 
 
 def _proximity_groups(

@@ -74,8 +74,8 @@ class SweepSeries(Checked, namedtuple(
         distance: float | None = None, obs_distance: float | None = None,
     ) -> SweepSeries:
         check_csv_text("label", label)
-        for field, value in (("profile", profile), ("scenario", scenario), ("temporal", temporal)):
-            if value is not None:  # its name (a scenario's kind) is printed in a "# series" line
+        for field, value in (("profile", profile), ("temporal", temporal)):
+            if value is not None:  # its name is printed in a "# series" line
                 check_csv_text(field, value[0], comment=True)
         one_of("attribute", attribute, ATTRIBUTE_CHOICES)
         one_of("mode", mode, MODES)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Callable
 
 from . import ahp
 from ._checked import Checked, non_negative, one_of, positive, unit_interval
@@ -91,38 +90,18 @@ def _highway_los(distance: float) -> float:
 _BUILTIN_LOS = {"urban": _urban_los, "highway": _highway_los}
 
 
-class Scenario(Checked, namedtuple("Scenario", "kind v_max safety_distance los_model")):
-    """Road environment: scenario kind, speed limit, safety distance.
-
-    los_model, when given, replaces the built-in line-of-sight
-    probability model for the kind.
-    """
+class Scenario(Checked, namedtuple("Scenario", "kind safety_distance")):
+    """Road environment: scenario kind, which fixes the line-of-sight model, and safety distance (m)."""
 
     __slots__ = ()
 
-    def __new__(
-        cls, kind: str, v_max: float, safety_distance: float,
-        los_model: Callable[[float], float] | None = None,
-    ) -> Scenario:
-        if los_model is None and kind not in _BUILTIN_LOS:
-            raise ValueError(
-                f"no built-in line-of-sight model for scenario kind {kind!r}; "
-                f"pass los_model or use one of {sorted(_BUILTIN_LOS)}"
-            )
-        # safety_distance first: a config that gives only it derives v_max from it.
-        positive("safety distance", safety_distance)
-        positive("speed limit", v_max)
-        return tuple.__new__(cls, (kind, v_max, safety_distance, los_model))
-
-    @classmethod
-    def from_speed_limit(
-        cls, kind: str, v_max: float, los_model: Callable[[float], float] | None = None
-    ) -> "Scenario":
-        return cls(kind, v_max, safety_distance(v_max), los_model)
+    def __new__(cls, kind: str, safety_distance: float) -> Scenario:
+        one_of("scenario kind", kind, tuple(_BUILTIN_LOS))
+        return tuple.__new__(cls, (kind, positive("safety distance", safety_distance)))
 
 
-URBAN = Scenario.from_speed_limit("urban", 12.0)
-HIGHWAY = Scenario.from_speed_limit("highway", 36.0)
+URBAN = Scenario("urban", safety_distance(12.0))
+HIGHWAY = Scenario("highway", safety_distance(36.0))
 SCENARIOS = {s.kind: s for s in (URBAN, HIGHWAY)}
 
 
@@ -314,9 +293,7 @@ def quality_voi_processed(obs_distance: float, sensor: SensorModel) -> float:
 
 def los_probability(distance: float, scenario: Scenario) -> float:
     """Probability of an unobstructed line of sight at a distance."""
-    non_negative("distance", distance)
-    model = scenario.los_model or _BUILTIN_LOS[scenario.kind]
-    return min(1.0, max(0.0, model(distance)))
+    return _BUILTIN_LOS[scenario.kind](non_negative("distance", distance))
 
 
 def quality_voi_nonprocessed(

@@ -74,12 +74,14 @@ def test_parse_scenarios():
                 "campus": {"kind": "urban", "v_max": 5.0},
                 "tuned": {"kind": "highway", "v_max": 36.0, "safety_distance": 100.0},
                 "fixed": {"kind": "urban", "safety_distance": 30.0},
+                "tiny": {"kind": "urban", "safety_distance": 5e-324},  # no speed limit is derived
             }
         }
     )
     assert cfg.scenarios["campus"].safety_distance == 10.0
     assert cfg.scenarios["tuned"].safety_distance == 100.0
-    assert cfg.scenarios["fixed"].v_max == 15.0
+    assert cfg.scenarios["fixed"] == voi.Scenario("urban", 30.0)
+    assert cfg.scenarios["tiny"].safety_distance == 5e-324
     with pytest.raises(ValueError, match=r"^scenario 's': needs v_max and/or safety_distance$"):
         cfgmod.parse_config({"scenarios": {"s": {"kind": "urban"}}})
 
@@ -174,8 +176,11 @@ def test_load_config_rejects_bad_documents(tmp_path):
         ({"scenarios": {"s": {"kind": "urban", "v_max": 10, "safety_distance": -4}}},
          "scenario 's': safety distance must be positive, got -4.0"),
         ({"scenarios": {"s": {"kind": "sea", "v_max": 10}}},
-         "scenario 's': no built-in line-of-sight model for scenario kind 'sea'"),
-        # Only safety_distance given: the message names it, not the v_max derived from it.
+         "scenario 's': scenario kind must be one of ('urban', 'highway'), got 'sea'"),
+        # safety_distance wins, but a v_max beside it is still checked.
+        ({"scenarios": {"s": {"kind": "urban", "v_max": -1, "safety_distance": 50}}},
+         "scenario 's': speed limit must be positive, got -1.0"),
+        # Only safety_distance given: the message names it, and no speed limit is derived.
         ({"scenarios": {"s": {"kind": "urban", "safety_distance": -4}}},
          "scenario 's': safety distance must be positive, got -4.0"),
         ({"scenarios": {"s": {"kind": None, "v_max": 10}}},
@@ -185,7 +190,7 @@ def test_load_config_rejects_bad_documents(tmp_path):
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError) as info:
             cfgmod.load_config(str(path))
-        assert str(info.value).startswith(f"{path}: {message}")
+        assert str(info.value) == f"{path}: {message}"
 
 
 def write_lines(path, objs):

@@ -263,11 +263,7 @@ def test_raising_the_threshold_only_shrinks_the_transmit_set():
         previous = ids
 
 
-def _tunnel_los(distance):
-    return 0.9 - 0.002 * distance
-
-
-TUNNEL = voi.Scenario("tunnel", v_max=20.0, safety_distance=40.0, los_model=_tunnel_los)
+TUNNEL = voi.Scenario("highway", 40.0)  # a third scenario group: HIGHWAY's kind, its own safety distance
 # Shared distances put receivers of both scenarios at equal range; past
 # 5 km every proximity score rounds to the logistic lower limit.
 receiver_distances = st.one_of(

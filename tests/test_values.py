@@ -33,12 +33,14 @@ CASES = [
      ("weights", (_NAN, _NAN)), "weights outside [0, 1]: (nan, nan)"),
     (voi.LogisticParams, dict(upper=1.0, lower=0.0, offset=1.0, scale=1.0, decay=0.03, shape=0.2),
      ("decay", -1.0), "decay must be positive, got -1.0"),
-    (voi.Scenario, dict(kind="urban", v_max=12.0, safety_distance=24.0, los_model=None),
-     ("v_max", 0.0), "speed limit must be positive, got 0.0"),
-    (voi.Scenario, dict(kind="urban", v_max=12.0, safety_distance=24.0, los_model=None),
-     ("v_max", _NAN), "speed limit must be positive, got nan"),
-    (voi.Scenario, dict(kind="urban", v_max=12.0, safety_distance=24.0, los_model=None),
+    (voi.Scenario, dict(kind="urban", safety_distance=24.0),
+     ("safety_distance", 0.0), "safety distance must be positive, got 0.0"),
+    (voi.Scenario, dict(kind="urban", safety_distance=24.0),
+     ("safety_distance", _NAN), "safety distance must be positive, got nan"),
+    (voi.Scenario, dict(kind="urban", safety_distance=24.0),
      ("safety_distance", -1.0), "safety distance must be positive, got -1.0"),
+    (voi.Scenario, dict(kind="urban", safety_distance=24.0),
+     ("kind", "tunnel"), "scenario kind must be one of ('urban', 'highway'), got 'tunnel'"),
     (voi.TemporalClass, dict(name="t", decay=1.0),
      ("decay", -1.0), "temporal decay must be non-negative, got -1.0"),
     (voi.TemporalClass, dict(name="t", decay=1.0),
@@ -184,7 +186,7 @@ def test_derived_fields_are_not_arguments_and_follow_replace():
 
 
 def test_equal_values_compare_and_hash_equal():
-    again = voi.Scenario.from_speed_limit("urban", 12.0)
+    again = voi.Scenario("urban", 24.0)
     assert again == voi.URBAN and hash(again) == hash(voi.URBAN)
     assert {voi.URBAN: "urban"}[again] == "urban"
     assert voi.SensorModel(1.2, 70.0, 1280.0) == voi.SENSORS["medium"]

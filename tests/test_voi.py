@@ -34,23 +34,22 @@ def test_safety_distance():
 def test_builtin_scenarios():
     assert voi.URBAN.safety_distance == 24.0
     assert voi.HIGHWAY.safety_distance == 72.0
-    assert voi.Scenario.from_speed_limit("urban", 12.0) == voi.URBAN
+    assert voi.Scenario("urban", voi.safety_distance(12.0)) == voi.URBAN
+    assert voi.Scenario("highway", voi.safety_distance(36.0)) == voi.HIGHWAY
     assert voi.SCENARIOS == {"urban": voi.URBAN, "highway": voi.HIGHWAY}
     assert all(scenario.kind == kind for kind, scenario in voi.SCENARIOS.items())
 
 
 def test_scenario_validation():
-    with pytest.raises(ValueError, match="los_model"):
-        voi.Scenario("tunnel", 10.0, 20.0)
-    with pytest.raises(ValueError, match="positive"):
-        voi.Scenario("urban", -1.0, 24.0)
+    assert voi.Scenario._fields == ("kind", "safety_distance")
+    with pytest.raises(ValueError) as info:
+        voi.Scenario("tunnel", 20.0)
+    assert str(info.value) == "scenario kind must be one of ('urban', 'highway'), got 'tunnel'"
     with pytest.raises(ValueError, match=r"^safety distance must be positive, got 0\.0$"):
-        voi.Scenario("urban", 12.0, 0.0)
+        voi.Scenario("urban", 0.0)
     with pytest.raises(ValueError, match=r"^safety distance must be positive, got nan$"):
-        voi.Scenario("urban", 12.0, math.nan)
-    # a custom kind is fine once it brings its own model
-    custom = voi.Scenario("tunnel", 10.0, 20.0, los_model=lambda d: 0.5)
-    assert voi.los_probability(100.0, custom) == 0.5
+        voi.Scenario("urban", math.nan)
+    assert voi.Scenario("urban", 5e-324).safety_distance == 5e-324
 
 
 def test_focal_distance():
@@ -312,10 +311,17 @@ def test_zero_weight_attribute_is_ignored():
     assert a == b == pytest.approx(math.exp(-0.1), abs=1e-15)
 
 
-def test_custom_los_model_is_clamped():
-    wild = voi.Scenario("urban", 12.0, 24.0, los_model=lambda d: 1.7 - d)
-    assert voi.los_probability(0.0, wild) == 1.0
-    assert voi.los_probability(10.0, wild) == 0.0
+@settings(max_examples=300, deadline=None)
+@given(
+    scenario=st.sampled_from(list(voi.SCENARIOS.values())),
+    distance=st.one_of(st.floats(0.0, allow_nan=False), st.sampled_from([0.0, 475.0, 1e308, math.inf])),
+)
+def test_builtin_los_models_stay_in_the_unit_interval(scenario, distance):
+    # los_probability applies no clamp of its own: the built-in models must not need one.
+    model = {"urban": voi._urban_los, "highway": voi._highway_los}[scenario.kind]
+    p = voi.los_probability(distance, scenario)
+    assert type(p) is float and 0.0 <= p <= 1.0
+    assert p == min(1.0, max(0.0, model(distance)))
 
 
 scenarios = st.sampled_from([voi.URBAN, voi.HIGHWAY])

@@ -110,6 +110,9 @@ def cases() -> dict[str, tuple[list[str], dict]]:
                                    jsonl(RECEIVER, dict(RECEIVER, id="rx2", scenario="highway"))),
         "schedule-config": schedule(jsonl(record(sensor="wide")), jsonl(dict(RECEIVER, scenario="slow")),
                                     "--config", "c.json", **{"c.json": json.dumps(CONFIG)}),
+        "config-scenario-tiny-safety-distance": schedule(
+            jsonl(RECORD), jsonl(dict(RECEIVER, scenario="s")), "--config", "c.json", **{"c.json": json.dumps({
+                "scenarios": {"s": {"kind": "urban", "safety_distance": 5e-324}}, "defaults": {"threshold": 0.5}})}),
         "schedule-now": schedule(jsonl(RECORD), jsonl(RECEIVER), "--now", "2.5"),
         "schedule-bom-crlf": schedule("\ufeff" + jsonl(RECORD).replace("\n", "\r\n")),
         "schedule-empty-batch": schedule(""),
@@ -166,6 +169,11 @@ def cases() -> dict[str, tuple[list[str], dict]]:
                                                                  "quality": 0.3}}}})}),
         "config-scenario-no-speed": schedule(jsonl(RECORD), jsonl(RECEIVER), "--config", "c.json",
                                              **{"c.json": json.dumps({"scenarios": {"s": {}}})}),
+        "config-scenario-unknown-kind": schedule(jsonl(RECORD), jsonl(RECEIVER), "--config", "c.json", **{
+            "c.json": json.dumps({"scenarios": {"s": {"kind": "sea", "v_max": 10}}})}),
+        "config-scenario-negative-v_max-beside-safety-distance": schedule(
+            jsonl(RECORD), jsonl(RECEIVER), "--config", "c.json", **{
+                "c.json": json.dumps({"scenarios": {"s": {"kind": "urban", "v_max": -1, "safety_distance": 50}}})}),
         "config-threshold-above-1": schedule(jsonl(RECORD), jsonl(RECEIVER), "--config", "c.json",
                                              **{"c.json": json.dumps({"defaults": {"threshold": 1.5}})}),
         "config-sensor-height-0": schedule(jsonl(RECORD), jsonl(RECEIVER), "--config", "c.json", **{
