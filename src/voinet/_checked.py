@@ -7,15 +7,16 @@ tuple without ``__new__``; ``Checked`` sends both through ``__new__``, so no
 way of constructing a value skips its checks. ``check_csv_text`` is the one
 rule for text that a CSV prints: record and receiver ids and sweep series
 labels, unquoted, and the names and notes in a sweep CSV's comment lines.
-``non_negative``, ``positive`` and ``unit_interval`` are the range rules for
-numbers: each holds the one comparison that NaN fails and the one wording of
-its error. ``one_of`` is the membership rule for a value drawn from a fixed
-set of choices, such as a quality mode or a sweep variable.
+``finite``, ``non_negative``, ``positive`` and ``unit_interval`` are the range
+rules for numbers: each holds the one comparison that NaN fails and the one
+wording of its error. ``one_of`` is the membership rule for a value drawn from
+a fixed set of choices, such as a quality mode or a sweep variable.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from collections.abc import Iterable
 
@@ -66,6 +67,13 @@ def check_csv_text(name: str, value: str, comment: bool = False) -> None:
     else:
         why = "a line break" if comment else "a comma, quote or line break"
     raise ValueError(f"field {name!r} must not hold {why}, got {json.dumps(value)}")
+
+
+def finite(what: str, value: float) -> float:
+    """value, unless it is infinite or NaN: then a ValueError naming what."""
+    if not -math.inf < value < math.inf:
+        raise ValueError(f"{what} must be finite, got {value}")
+    return value
 
 
 def non_negative(what: str, value: float) -> float:

@@ -12,7 +12,7 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 
-from ._checked import Checked
+from ._checked import Checked, finite
 
 SAATY_MIN = 1.0 / 9.0
 SAATY_MAX = 9.0
@@ -91,8 +91,7 @@ class EigenSolution(Checked, namedtuple("EigenSolution", "lambda_max weights")):
     __slots__ = ()
 
     def __new__(cls, lambda_max: float, weights: Sequence[float]) -> EigenSolution:
-        if not math.isfinite(lambda_max):
-            raise ValueError(f"lambda_max must be finite, got {lambda_max}")
+        finite("lambda_max", lambda_max)
         weights = tuple(float(w) for w in weights)
         if abs(sum(weights) - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {sum(weights)!r}, expected 1")

@@ -32,27 +32,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _finite_float(text: str) -> float:
-    """argparse type: a float that is neither NaN nor infinite."""
+    """argparse type: a finite float; the value type that receives it checks its range."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-    return value
-
-
-def _non_negative(text: str) -> float:
-    value = _finite_float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
-    return value
-
-
-def _unit(text: str) -> float:
-    value = _finite_float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text!r}")
     return value
 
 
@@ -68,11 +54,11 @@ def _command(name: str, p: argparse.ArgumentParser) -> argparse.ArgumentParser:
         p.add_argument("--profile", required=True)
         p.add_argument("--scenario", default="urban")
         p.add_argument("--sensor", default="medium")
-        p.add_argument("--distance", type=_non_negative, required=True)
-        p.add_argument("--aoi", type=_non_negative, default=0.0)
-        p.add_argument("--ptd", type=_non_negative, default=1.0, help="temporal decay rate (1/s)")
+        p.add_argument("--distance", type=_finite_float, required=True)
+        p.add_argument("--aoi", type=_finite_float, default=0.0)
+        p.add_argument("--ptd", type=_finite_float, default=1.0, help="temporal decay rate (1/s)")
         p.add_argument("--mode", choices=sorted(cfgmod.MODE_ALIASES), default="processed")
-        p.add_argument("--obs-distance", type=_non_negative, default=None)
+        p.add_argument("--obs-distance", type=_finite_float, default=None)
     elif name == "sweep":
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--figure", help="preset name (see the presets command)")
@@ -84,7 +70,7 @@ def _command(name: str, p: argparse.ArgumentParser) -> argparse.ArgumentParser:
         p.add_argument("--records", required=True, help="JSON-lines record file")
         p.add_argument("--receivers", required=True, help="JSON-lines receiver file")
         p.add_argument("--profile", required=True)
-        p.add_argument("--threshold", type=_unit, default=None)
+        p.add_argument("--threshold", type=_finite_float, default=None)
         p.add_argument(
             "--now", type=_finite_float, default=None, help="evaluation instant (default: latest t0)"
         )

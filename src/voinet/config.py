@@ -18,7 +18,7 @@ from collections.abc import Callable, Mapping
 from functools import partial
 
 from . import ahp
-from ._checked import check_csv_text, positive, unit_interval
+from ._checked import check_csv_text, unit_interval
 from .scheduler import PerceptionRecord, ReceiverView
 from .sweep import SweepSeries, SweepSpec
 from .voi import (
@@ -235,15 +235,13 @@ def parse_matrix(data: object) -> ahp.ComparisonMatrix:
 
 
 def _parse_scenario(name: str, obj: Mapping[str, object]) -> Scenario:
-    kind = _string(obj, "kind", name)
     if "v_max" not in obj and "safety_distance" not in obj:
         raise ValueError("needs v_max and/or safety_distance")
+    kind = _string(obj, "kind", name if name in SCENARIOS else None)  # a built-in's name is its kind
+    distance = safety_distance(_number(obj, "v_max")) if "v_max" in obj else None
     if "safety_distance" in obj:  # it wins over v_max, which is still checked when given
         distance = _number(obj, "safety_distance")
-        if "v_max" in obj:
-            positive("speed limit", _number(obj, "v_max"))
-        return Scenario(kind, distance)
-    return Scenario(kind, safety_distance(_number(obj, "v_max")))
+    return Scenario(kind, distance)
 
 
 def _parse_sensor(name: str, obj: Mapping[str, object]) -> SensorModel:

@@ -12,7 +12,7 @@ import math
 from collections import namedtuple
 from io import StringIO
 
-from ._checked import Checked, check_csv_text, non_negative, one_of, positive, unit_interval
+from ._checked import Checked, check_csv_text, finite, non_negative, one_of, positive, unit_interval
 from .voi import (
     DEFAULT_LOGISTIC,
     DYNAMIC,
@@ -112,8 +112,7 @@ class SweepSpec(Checked, namedtuple("SweepSpec", "variable start stop step serie
     ) -> SweepSpec:
         one_of("variable", variable, VARIABLES)
         for field, value in (("start", start), ("stop", stop), ("step", step)):
-            if not math.isfinite(value):
-                raise ValueError(f"{field} must be finite, got {value}")
+            finite(field, value)
         positive("step", step)
         if start > stop:
             raise ValueError(f"start {start} exceeds stop {stop}")
@@ -122,8 +121,8 @@ class SweepSpec(Checked, namedtuple("SweepSpec", "variable start stop step serie
             raise ValueError("at least one series is required")
         for field, text in (("name", name), *(("notes", note) for note in notes)):
             check_csv_text(field, text, comment=True)  # printed in "#" lines
-        if obs_grid is not None and not (0.0 < obs_grid < math.inf):
-            raise ValueError(f"obs_grid must be positive and finite, got {obs_grid}")
+        if obs_grid is not None:
+            finite("obs_grid", positive("obs_grid", obs_grid))
         labels = [s.label for s in series]
         if len(set(labels)) != len(labels):
             raise ValueError(f"series labels must be unique, got {labels}")

@@ -15,7 +15,7 @@ import math
 from collections import namedtuple
 
 from . import ahp
-from ._checked import Checked, non_negative, one_of, positive, unit_interval
+from ._checked import Checked, finite, non_negative, one_of, positive, unit_interval
 
 PROCESSED = "processed"
 NON_PROCESSED = "non_processed"
@@ -43,8 +43,7 @@ class LogisticParams(Checked, namedtuple("LogisticParams", "upper lower offset s
     ) -> LogisticParams:
         values = (upper, lower, offset, scale, decay, shape)
         for name, value in zip(cls._fields, values):
-            if not math.isfinite(value):
-                raise ValueError(f"logistic {name} must be finite, got {value}")
+            finite(f"logistic {name}", value)
         for name, value in zip(cls._fields[2:], values[2:]):  # offset, scale, decay, shape
             positive(name, value)
         try:
@@ -97,7 +96,8 @@ class Scenario(Checked, namedtuple("Scenario", "kind safety_distance")):
 
     def __new__(cls, kind: str, safety_distance: float) -> Scenario:
         one_of("scenario kind", kind, tuple(_BUILTIN_LOS))
-        return tuple.__new__(cls, (kind, positive("safety distance", safety_distance)))
+        distance = finite("safety distance", positive("safety distance", safety_distance))
+        return tuple.__new__(cls, (kind, distance))
 
 
 URBAN = Scenario("urban", safety_distance(12.0))
@@ -111,7 +111,7 @@ class TemporalClass(Checked, namedtuple("TemporalClass", "name decay")):
     __slots__ = ()
 
     def __new__(cls, name: str, decay: float) -> TemporalClass:
-        return tuple.__new__(cls, (name, non_negative("temporal decay", decay)))
+        return tuple.__new__(cls, (name, finite("temporal decay", non_negative("temporal decay", decay))))
 
 
 STATIC = TemporalClass("static", 0.0)

@@ -225,11 +225,12 @@ def test_assess_all_maxima(capsys):
 def test_assess_input_errors(capsys):
     code, _, err = run_cli(capsys, "assess", "--profile", "safety", "--scenario", "sea", "--distance", "1")
     assert code == 1 and "unknown scenario" in err
-    for flag in ("--distance", "--aoi", "--obs-distance", "--ptd"):
+    # The value type that receives each flag checks its range, with the one wording of _checked.
+    for flag, what in (("--distance", "distance"), ("--aoi", "age of information"),
+                       ("--obs-distance", "observation distance"), ("--ptd", "temporal decay")):
         args = ["assess", "--profile", "safety", "--distance", "1", flag, "-5"]
         code, out, err = run_cli(capsys, *args)
-        assert code == 1 and out == ""
-        assert f"argument {flag}: must be non-negative, got '-5'" in err
+        assert (code, out, err) == (1, "", f"error: {what} must be non-negative, got -5.0\n")
     code, out, err = run_cli(capsys, "assess", "--profile", "safety", "--distance=-0", "--aoi=-0.0")
     assert code == 0 and err == ""
 
@@ -258,8 +259,7 @@ def test_threshold_flag_must_be_in_the_unit_range(capsys, tmp_path):
     schedule = ["schedule", "--records", rec, "--receivers", rcv, "--profile", "safety"]
     for bad in ("1.5", "-0.1"):
         code, out, err = run_cli(capsys, *schedule, f"--threshold={bad}")
-        assert code == 1 and out == ""
-        assert f"argument --threshold: must be in [0, 1], got '{bad}'" in err
+        assert (code, out, err) == (1, "", f"error: threshold must be in [0, 1], got {bad}\n")
     for edge in ("0", "1"):
         assert run_cli(capsys, *schedule, f"--threshold={edge}")[0] == 0
 
@@ -993,7 +993,7 @@ PARSE_CASES = (
     ("presets", "extra"),
     ("schedule", "--records", "r", "--receivers", "v", "--profile", "safety", "--threshold", "nan"),
     ("weights", "--profile", "safety", "--matrix", "m.json"),
-    ("assess", "--profile", "safety", "--distance", "-1"),
+    ("assess", "--profile", "safety", "--distance", "ten"),
 )
 # argparse wraps and quotes differently from one Python to the next.
 HELP_PYTHON = (3, 11)  # the Python that wrote data/cli_help.txt

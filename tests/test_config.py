@@ -130,6 +130,8 @@ def test_builtin_names_can_be_overridden():
         {"scenarios": {"urban": {"kind": "urban", "v_max": 14.0}}}
     )
     assert cfg.scenarios["urban"].safety_distance == 28.0
+    cfg = cfgmod.parse_config({"scenarios": {"urban": {"v_max": 10}, "highway": {"safety_distance": 50}}})
+    assert cfg.scenarios == {"urban": voi.Scenario("urban", 20.0), "highway": voi.Scenario("highway", 50.0)}
 
 
 def test_load_config_rejects_bad_documents(tmp_path):
@@ -185,6 +187,10 @@ def test_load_config_rejects_bad_documents(tmp_path):
          "scenario 's': safety distance must be positive, got -4.0"),
         ({"scenarios": {"s": {"kind": None, "v_max": 10}}},
          "scenario 's': field 'kind' must be a JSON string, got null"),
+        # Only an entry named urban or highway may omit its kind.
+        ({"scenarios": {"s": {"v_max": 10}}}, "scenario 's': missing field 'kind'"),
+        ({"scenarios": {"s": {"kind": "highway", "v_max": 1e308}}},  # 2 * v_max overflows
+         "scenario 's': safety distance must be finite, got inf"),
         ({"profiles": {"p": 5}}, "profile 'p' must be an object"),
     ):
         path.write_text(json.dumps(doc))

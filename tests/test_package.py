@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -37,3 +38,18 @@ def test_the_cli_imports_no_typing_in_a_clean_interpreter():
         env=env, capture_output=True, text=True, check=True,
     )
     assert probe.stdout == "False\n"
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # Deleting a name's last use can leave its import behind; __init__.py imports to re-export.
+    for path in sorted((SRC / "voinet").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name.partition(".")[0]
+            for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        } - {"annotations"}  # from __future__ import annotations
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert sorted(imported - read) == [], path.name

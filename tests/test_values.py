@@ -6,7 +6,7 @@ import pickle
 import pytest
 
 from voinet import ahp, scheduler, sweep, voi
-from voinet._checked import non_negative, one_of, positive, unit_interval
+from voinet._checked import finite, non_negative, one_of, positive, unit_interval
 
 _SERIES = sweep.SweepSeries("s", attribute="proximity", scenario=voi.URBAN)
 _SERIES_AT_ZERO = dict(label="z", profile=voi.SAFETY, scenario=voi.URBAN, temporal=voi.STATIC,
@@ -18,6 +18,7 @@ _RECORD = dict(id="r", source_vehicle="v", generated_at=0.0, object_distance=1.0
                temporal=voi.STATIC, sensor=voi.SENSORS["low"], mode=voi.PROCESSED)
 _BAD_MODE = ("mode", "raw"), "mode must be one of ('processed', 'non_processed'), got 'raw'"
 _NAN = float("nan")
+_INF = float("inf")
 
 # (type, every constructor argument in order, one bad field and value, its message)
 CASES = [
@@ -41,10 +42,14 @@ CASES = [
      ("safety_distance", -1.0), "safety distance must be positive, got -1.0"),
     (voi.Scenario, dict(kind="urban", safety_distance=24.0),
      ("kind", "tunnel"), "scenario kind must be one of ('urban', 'highway'), got 'tunnel'"),
+    (voi.Scenario, dict(kind="urban", safety_distance=24.0),
+     ("safety_distance", _INF), "safety distance must be finite, got inf"),
     (voi.TemporalClass, dict(name="t", decay=1.0),
      ("decay", -1.0), "temporal decay must be non-negative, got -1.0"),
     (voi.TemporalClass, dict(name="t", decay=1.0),
      ("decay", _NAN), "temporal decay must be non-negative, got nan"),
+    (voi.TemporalClass, dict(name="t", decay=1.0),
+     ("decay", _INF), "temporal decay must be finite, got inf"),
     (voi.SensorModel, dict(height=1.2, fov=70.0, resolution=640.0),
      ("height", 0.0), "sensor height must be positive, got 0.0"),
     (voi.SensorModel, dict(height=1.2, fov=70.0, resolution=640.0),
@@ -91,7 +96,7 @@ CASES = [
     (sweep.SweepSpec,
      dict(variable="distance", start=0.0, stop=10.0, step=1.0, series=(_SERIES,),
           obs_grid=None, name="custom", notes=()),
-     ("obs_grid", 0.0), "obs_grid must be positive and finite, got 0.0"),
+     ("obs_grid", 0.0), "obs_grid must be positive, got 0.0"),
     (sweep.SweepSpec,
      dict(variable="distance", start=0.0, stop=10.0, step=1.0, series=(_SERIES,),
           obs_grid=None, name="custom", notes=()),
@@ -100,6 +105,10 @@ CASES = [
      dict(variable="distance", start=0.0, stop=10.0, step=1.0, series=(_SERIES,),
           obs_grid=None, name="custom", notes=()),
      ("start", -1.0), "start must be non-negative, got -1.0"),
+    (sweep.SweepSpec,
+     dict(variable="distance", start=0.0, stop=10.0, step=1.0, series=(_SERIES,),
+          obs_grid=None, name="custom", notes=()),
+     ("obs_grid", _INF), "obs_grid must be finite, got inf"),
 ]
 
 
@@ -137,7 +146,10 @@ def test_the_range_rules_return_the_value_or_word_its_fault():
         assert positive("x", value) is value
     for value in (0.0, -0.0, 1.0):
         assert unit_interval("x", value) is value
-    for rule, word, bad in ((non_negative, "non-negative", (-5e-324, -1.0, float("-inf"), _NAN)),
+    for value in (-1, -1.7976931348623157e308, 1.7976931348623157e308):
+        assert finite("x", value) is value
+    for rule, word, bad in ((finite, "finite", (_INF, -_INF, _NAN)),
+                            (non_negative, "non-negative", (-5e-324, -1.0, float("-inf"), _NAN)),
                             (positive, "positive", (0.0, -0.0, -1.0, _NAN)),
                             (unit_interval, "in [0, 1]", (_NAN, -5e-324, 1.0000000000000002))):
         for value in bad:

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from voinet import ahp, voi
@@ -391,3 +391,15 @@ def test_overall_is_nonincreasing_in_distance(d1, d2, scenario, sensor, mode):
 def test_timeliness_is_nonincreasing_in_age(a1, a2, temporal):
     lo, hi = sorted((a1, a2))
     assert voi.timeliness_voi(hi, temporal) <= voi.timeliness_voi(lo, temporal) + 1e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(decay=st.floats(allow_infinity=True), aoi=st.floats(0.0, math.inf))
+@example(decay=math.inf, aoi=0.0)  # exp(-inf * 0) is NaN
+def test_timeliness_is_in_unit_range_for_every_accepted_decay(decay, aoi):
+    try:
+        temporal = voi.TemporalClass("t", decay)
+    except ValueError:
+        return  # a decay the constructor refuses gives no score
+    score = voi.timeliness_voi(aoi, temporal)
+    assert type(score) is float and 0.0 <= score <= 1.0

@@ -13,7 +13,7 @@ for byte:
 The cases: `schedule` on the benchmark's seeded fanout batch (seeds 1 and 2), every
 figure preset's CSV, `weights`, `presets`, `assess`, custom configs, specs and
 matrices, and one case per bad input. Not part of the test suite: it starts about
-90 interpreters, one after another.
+100 interpreters, one after another.
 """
 
 from __future__ import annotations
@@ -174,6 +174,10 @@ def cases() -> dict[str, tuple[list[str], dict]]:
         "config-scenario-negative-v_max-beside-safety-distance": schedule(
             jsonl(RECORD), jsonl(RECEIVER), "--config", "c.json", **{
                 "c.json": json.dumps({"scenarios": {"s": {"kind": "urban", "v_max": -1, "safety_distance": 50}}})}),
+        "config-scenario-missing-kind": schedule(jsonl(RECORD), jsonl(RECEIVER), "--config", "c.json",
+                                                 **{"c.json": json.dumps({"scenarios": {"s": {"v_max": 10}}})}),
+        "config-scenario-v_max-overflows": schedule(jsonl(RECORD), jsonl(RECEIVER), "--config", "c.json", **{
+            "c.json": json.dumps({"scenarios": {"s": {"kind": "highway", "v_max": 1e308}}})}),
         "config-threshold-above-1": schedule(jsonl(RECORD), jsonl(RECEIVER), "--config", "c.json",
                                              **{"c.json": json.dumps({"defaults": {"threshold": 1.5}})}),
         "config-sensor-height-0": schedule(jsonl(RECORD), jsonl(RECEIVER), "--config", "c.json", **{
