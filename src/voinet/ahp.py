@@ -73,7 +73,7 @@ class ComparisonMatrix(Checked, namedtuple("ComparisonMatrix", "labels entries")
                         f"score {score:g} for pair ({labels[j]}, {labels[k]}) is outside "
                         f"the Saaty range [1/9, 9]"
                     )
-                if j < k and abs(entries[j][k] * entries[k][j] - 1.0) > RECIPROCITY_TOL:
+                if abs(entries[j][k] * entries[k][j] - 1.0) > RECIPROCITY_TOL:
                     raise ValueError(
                         f"entries for pair ({labels[j]}, {labels[k]}) are not reciprocal: "
                         f"{entries[j][k]!r} vs {entries[k][j]!r}"

@@ -90,11 +90,8 @@ def parse_config(data: object) -> ConfigDocument:
 def _text(path: str, data: bytes, line: int = 1) -> str:
     """data decoded as UTF-8, or a ValueError naming path:line and the column of its first bad byte.
 
-    line numbers data's first line; lines end at LF, CRLF or CR, as in text mode. Line 1 of a
-    file may start with a byte-order mark, which is dropped, as RFC 8259 section 8.1 allows.
+    line numbers data's first line; lines end at LF, CRLF or CR, as in text mode.
     """
-    if line == 1:
-        data = data.removeprefix(b"\xef\xbb\xbf")
     try:
         return data.decode()  # bytes.decode's default is UTF-8, whatever the locale
     except UnicodeDecodeError as exc:
@@ -110,10 +107,10 @@ def shown(path: str) -> str:
 
 
 def _read(path: str) -> bytes:
-    """The bytes of the file at path; an OSError names path, as open's own do."""
+    """The file's bytes, less a leading byte-order mark (RFC 8259 section 8.1); an OSError names path."""
     try:
         with open(path, "rb") as fh:
-            return fh.read()
+            return fh.read().removeprefix(b"\xef\xbb\xbf")
     except OSError as exc:
         exc.filename = exc.filename or path  # a failed read names no file
         raise
@@ -311,17 +308,14 @@ def _read_jsonl(path: str, kind: str, parse: Callable[[dict], object]) -> list:
     return items
 
 
-def _parse_record(cfg: ConfigDocument, resolved: dict, obj: dict) -> PerceptionRecord:
+def _parse_record(cfg: ConfigDocument, obj: dict) -> PerceptionRecord:
     head = (_string(obj, "id"), _string(obj, "source"), _number(obj, "t0"), _number(obj, "d_o"))
-    # Only all-string triples are cached: as dict keys 1, 1.0 and true are one.
-    temporal, sensor, mode = key = (obj.get("temporal"), obj.get("sensor"), obj.get("mode", PROCESSED))
-    cacheable = type(temporal) is str and type(sensor) is str and type(mode) is str
-    tail = resolved.get(key) if cacheable else None
-    if tail is None:
+    try:  # JSON keys are strings, so only a valid name is found; the readers word the rest
+        tail = (TEMPORAL_CLASSES[obj["temporal"]], cfg.sensors[obj["sensor"]],
+                MODE_ALIASES[obj.get("mode", PROCESSED)])
+    except (KeyError, TypeError):  # a missing field, a decay rate, an unknown or unhashable name
         tail = (parse_temporal(obj), resolve_name(cfg.sensors, _string(obj, "sensor"), "sensor"),
                 _at("field 'mode'", resolve_name, MODE_ALIASES, _string(obj, "mode", PROCESSED), "mode"))
-        if cacheable:
-            resolved[key] = tail
     try:
         return PerceptionRecord(*head, *tail)
     except ValueError as exc:  # the one range check not made above is the one on d_o
@@ -334,8 +328,7 @@ def load_records(path: str, cfg: ConfigDocument) -> list[PerceptionRecord]:
     Fields: id, source, t0, d_o, temporal (class name or decay rate),
     sensor (config name), mode (optional, default processed).
     """
-    # One (temporal, sensor, mode) cache per load, as a config may redefine a sensor name.
-    return _read_jsonl(path, "record", partial(_parse_record, cfg, {}))
+    return _read_jsonl(path, "record", partial(_parse_record, cfg))
 
 
 def _parse_receiver(cfg: ConfigDocument, obj: dict) -> ReceiverView:

@@ -268,13 +268,13 @@ def test_load_records_error_reporting(tmp_path):
     # Each line is checked in full, whatever earlier lines resolved.
     ok = dict(record, temporal="variable", mode="non_processed")
     for lines, message in (
-        # 1 and true are equal as dict keys.
+        # A number names no class: true on a line after 1 is a bad decay rate, not a repeat of 1.
         ([dict(record, temporal=1), dict(record, id="r2", temporal=True)],
          "2: field 'temporal' must be a finite number, got true"),
         ([ok, dict(ok, id="r2", d_o=-1)],
          "2: field 'd_o': object distance must be non-negative, got -1.0"),
         ([ok, dict(ok, id="r2", d_o="1")], "2: field 'd_o' must be a finite number, got \"1\""),
-        # A list or an object is no cache key.
+        # A list or an object is not a name, even after a line whose names resolved.
         ([ok, dict(ok, id="r2", sensor=[1])], "2: field 'sensor' must be a JSON string, got [1]"),
         ([ok, dict(ok, id="r2", mode={})], "2: field 'mode' must be a JSON string, got {}"),
         ([ok, dict(ok, id="r1")], "2: duplicate record id 'r1' (first on line 1)"),
@@ -334,6 +334,20 @@ def test_load_records_error_reporting(tmp_path):
             with pytest.raises(ValueError) as info:
                 load(str(target), cfg)
             assert str(info.value) == f"{target}:2: {why}"
+
+
+def test_records_and_receivers_resolve_names_in_the_loaded_config(tmp_path):
+    cfg = cfgmod.parse_config({"sensors": {"medium": {"resolution": 4096, "fov": 90}},
+                               "scenarios": {"urban": {"v_max": 20}}})
+    assert cfg.sensors["medium"] != voi.SENSORS["medium"]
+    assert cfg.scenarios["urban"] != voi.SCENARIOS["urban"]
+    records = tmp_path / "records.jsonl"
+    record = {"source": "v", "t0": 0, "d_o": 1, "temporal": "static", "sensor": "medium"}
+    write_lines(records, [dict(record, id="r1"), dict(record, id="r2", temporal=0.5, mode="nonprocessed")])
+    assert [r.sensor for r in cfgmod.load_records(str(records), cfg)] == [cfg.sensors["medium"]] * 2
+    receivers = tmp_path / "receivers.jsonl"
+    write_lines(receivers, [{"id": "a", "distance": 1, "scenario": "urban"}])
+    assert [r.scenario for r in cfgmod.load_receivers(str(receivers), cfg)] == [cfg.scenarios["urban"]]
 
 
 def test_a_leading_byte_order_mark_is_dropped(tmp_path):

@@ -110,6 +110,10 @@ def cases() -> dict[str, tuple[list[str], dict]]:
                                    jsonl(RECEIVER, dict(RECEIVER, id="rx2", scenario="highway"))),
         "schedule-config": schedule(jsonl(record(sensor="wide")), jsonl(dict(RECEIVER, scenario="slow")),
                                     "--config", "c.json", **{"c.json": json.dumps(CONFIG)}),
+        "schedule-config-redefines-medium": schedule(
+            jsonl(RECORD, record(id="r2", temporal=0.5)), jsonl(RECEIVER), "--config", "c.json",
+            **{"c.json": json.dumps({"sensors": {"medium": {"resolution": 4096.0, "fov": 90.0}},
+                                     "defaults": {"threshold": 0.5}})}),
         "config-scenario-tiny-safety-distance": schedule(
             jsonl(RECORD), jsonl(dict(RECEIVER, scenario="s")), "--config", "c.json", **{"c.json": json.dumps({
                 "scenarios": {"s": {"kind": "urban", "safety_distance": 5e-324}}, "defaults": {"threshold": 0.5}})}),
@@ -150,6 +154,7 @@ def cases() -> dict[str, tuple[list[str], dict]]:
         "records-nan-d_o": schedule('{"id": "r1", "source": "v", "t0": 0, "d_o": NaN, '
                                     '"temporal": "static", "sensor": "low"}\n'),
         "records-string-t0": schedule(jsonl(record(t0="0"))),
+        "record-temporal-true-after-1": schedule(jsonl(record(temporal=1), record(id="r2", temporal=True))),
         "records-duplicate-id": schedule(jsonl(RECORD, record(id="r2"), record(id="r2"))),
         "records-unknown-sensor": schedule(jsonl(record(sensor="nope"))),
         "records-unknown-temporal": schedule(jsonl(record(temporal="nope"))),
