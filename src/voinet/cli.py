@@ -148,7 +148,7 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[int, str]:
     else:
         spec = cfgmod.load_sweep_spec(args.spec, cfg)
     curves = run_sweep(spec, cfg.logistic)
-    out_path = args.out or f"{spec.name}.csv"
+    out_path = args.out if args.out is not None else f"{spec.name}.csv"
     _write(out_path, curves.to_csv())
     return 0, f"wrote {len(curves.xs)} rows x {len(spec.series)} series to {cfgmod.shown(out_path)}\n"
 
@@ -178,7 +178,7 @@ def cmd_schedule(args: argparse.Namespace) -> tuple[int, str]:
         lines.append(f"{position},{record_id},{best_receiver},{best_value:.6g},{decision}")
     body = "\n".join(lines) + "\n"
     summary = f"transmit={len(transmit)} cancelled={len(cancelled)}\n"
-    if args.out:
+    if args.out is not None:
         _write(args.out, body)
         return 0, summary
     return 0, body + summary

@@ -113,7 +113,7 @@ def _proximity_groups(
     scored = []
     for view in receivers:
         p = voi.proximity_voi(view.distance, view.scenario.safety_distance, cfg.params)
-        scored.append((-unit_interval("proximity score", p), view.receiver_id, view.scenario))
+        scored.append((-p, view.receiver_id, view.scenario))
     scored.sort()  # by falling P, then id; ids are unique, so no scenarios are compared
     merged, groups = [], {}
     for minus_p, receiver_id, scenario in scored:
@@ -143,16 +143,14 @@ def rank(
     # Names bound once: a local reads faster than a field or a module attribute. The sum
     # is ApplicationProfile.overall's, term for term, so values stay bitwise score_record's.
     now, (w_t, w_p, w_q), processed = cfg.now, cfg.profile.weights, voi.PROCESSED
-    timeliness_voi, quality_voi, check_score = voi.timeliness_voi, voi.quality_voi, unit_interval
+    timeliness_voi, quality_voi = voi.timeliness_voi, voi.quality_voi
 
     entries = []
     for record in records:
         t = timeliness_voi(_age(record, now), record.temporal)
-        check_score("timeliness score", t)
         best_value, best_receiver = -1.0, ""  # every value is >= 0
         for scenario, members in merged_walk if record.mode == processed else groups:
             q = quality_voi(record.object_distance, record.sensor, scenario, record.mode)
-            check_score("quality score", q)
             top = None
             for p, receiver_id in members:
                 value = w_t * t + w_p * p + w_q * q

@@ -12,7 +12,7 @@ import math
 from collections import namedtuple
 from io import StringIO
 
-from ._checked import Checked, check_csv_text, finite, non_negative, one_of, positive, unit_interval
+from ._checked import Checked, check_csv_text, finite, non_negative, one_of, positive
 from .voi import (
     DEFAULT_LOGISTIC,
     DYNAMIC,
@@ -212,7 +212,7 @@ def _observation_distance(spec: SweepSpec, series: SweepSeries, distance: float)
 def _score_pass(
     spec: SweepSpec, series: SweepSeries, xs: tuple[float, ...], params: LogisticParams
 ) -> tuple[list[float], ...]:
-    """The checked scores of the series' context at each grid point, one list per attribute.
+    """The scores of the series' context at each grid point, one list per attribute.
 
     An overall series gets timeliness, proximity and quality, for each
     profile to weigh; a conditional series gets its one attribute.
@@ -220,22 +220,18 @@ def _score_pass(
     attribute, scenario = series.attribute, series.scenario
     fixed = [series.aoi if spec.variable == "distance" else series.distance] * len(xs)
     distances, aois = (xs, fixed) if spec.variable == "distance" else (fixed, xs)
-    scores = {}
+    scores = []
     if attribute in ("overall", "timeliness"):
-        scores["timeliness"] = [timeliness_voi(0.0 if aoi is None else aoi, series.temporal) for aoi in aois]
+        scores.append([timeliness_voi(0.0 if aoi is None else aoi, series.temporal) for aoi in aois])
     if attribute in ("overall", "proximity"):
-        scores["proximity"] = [proximity_voi(d, scenario.safety_distance, params) for d in distances]
+        scores.append([proximity_voi(d, scenario.safety_distance, params) for d in distances])
     if attribute == "overall":
         obs = [_observation_distance(spec, series, d) for d in distances]
     elif attribute == "quality":  # the sweep variable is the observation distance itself
         obs = distances if series.obs_distance is None else [series.obs_distance] * len(xs)
     if attribute in ("overall", "quality"):
-        scores["quality"] = [quality_voi(d, series.sensor, scenario, series.mode) for d in obs]
-    for name, values in scores.items():
-        what = f"{name} score"
-        for value in values:
-            unit_interval(what, value)
-    return tuple(scores.values())
+        scores.append([quality_voi(d, series.sensor, scenario, series.mode) for d in obs])
+    return tuple(scores)
 
 
 def run_sweep(spec: SweepSpec, params: LogisticParams = DEFAULT_LOGISTIC) -> CurveSet:

@@ -3,7 +3,8 @@
 A sensed observation is valued along three attributes: how close the
 receiving vehicle is (proximity), how fresh the observation is
 (timeliness), and how reliable the sensing is (quality). Each conditional
-score lies in [0, 1]; an application profile weights them into a single
+score lies in [0, 1], and proximity_voi, timeliness_voi and quality_voi check
+that what they return does; an application profile weights them into a single
 overall score. Quality has two modes: ``processed`` uses the sensor
 geometry alone, ``non_processed`` additionally discounts by the
 line-of-sight probability at the observation distance.
@@ -269,16 +270,17 @@ def proximity_voi(
             params.offset + params.scale * math.exp(-params.decay * (distance - safety_distance))
         ) ** (1.0 / params.shape)
     except OverflowError:  # the denominator exceeds any float: the score is at its limit
-        return params.upper
-    return params.upper + (params.lower - params.upper) / denominator
+        score = params.upper
+    else:
+        score = params.upper + (params.lower - params.upper) / denominator
+    return unit_interval("proximity score", score)
 
 
 def timeliness_voi(aoi: float, temporal: TemporalClass) -> float:
     """Timeliness score: exponential decay of value with age."""
     non_negative("age of information", aoi)
-    if temporal.decay == 0.0:  # no decay at any age; 0 * an infinite age is NaN
-        return 1.0
-    return math.exp(-temporal.decay * aoi)
+    score = 1.0 if temporal.decay == 0.0 else math.exp(-temporal.decay * aoi)  # 0 * an infinite age is NaN
+    return unit_interval("timeliness score", score)
 
 
 def quality_voi_processed(obs_distance: float, sensor: SensorModel) -> float:
@@ -306,8 +308,10 @@ def quality_voi_nonprocessed(
 def quality_voi(obs_distance: float, sensor: SensorModel, scenario: Scenario, mode: str) -> float:
     """Quality score in a record's mode, processed or non-processed."""
     if mode == PROCESSED:
-        return quality_voi_processed(obs_distance, sensor)
-    return quality_voi_nonprocessed(obs_distance, sensor, scenario)
+        score = quality_voi_processed(obs_distance, sensor)
+    else:
+        score = quality_voi_nonprocessed(obs_distance, sensor, scenario)
+    return unit_interval("quality score", score)
 
 
 def attribute_scores(

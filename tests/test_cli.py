@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -177,6 +178,14 @@ def test_argparse_errors_exit_1(capsys):
     assert run_cli(capsys, "sweep", "--bogus")[0] == 1
 
 
+@pytest.mark.parametrize("command", ["weights --profile safety", "assess --profile safety --distance 100 --aoi 0.1"])
+def test_the_readme_transcripts_are_what_the_cli_prints(capsys, command):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    shown = re.search(rf"```text\n\$ voinet {re.escape(command)}\n(.*?)```", readme, re.S)
+    assert shown is not None, f"README shows no transcript of voinet {command}"
+    assert run_cli(capsys, *command.split()) == (0, shown[1], "")
+
+
 def test_assess_reference_point(capsys):
     code, out, _ = run_cli(
         capsys, "assess", "--profile", "safety", "--scenario", "urban",
@@ -294,6 +303,23 @@ def test_sweep_unwritable_path(capsys):
     code, _, err = run_cli(capsys, "sweep", "--figure", "fig2a", "--out", "/nonexistent/x.csv")
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("command", ["sweep", "schedule"])
+def test_an_empty_out_path_is_refused_not_ignored(capsys, tmp_path, monkeypatch, command):
+    # '' names no file, as for every other path flag; it does not mean "no --out".
+    monkeypatch.chdir(tmp_path)
+    if command == "sweep":
+        argv = ["sweep", "--figure", "fig2a"]
+    else:
+        rec, rcv = schedule_files(
+            tmp_path, [base_record("r1", 50.0)], [{"id": "a", "distance": 100.0, "scenario": "urban"}]
+        )
+        argv = ["schedule", "--records", rec, "--receivers", rcv, "--profile", "safety", "--threshold", "0.5"]
+    before = sorted(tmp_path.iterdir())
+    code, out, err = run_cli(capsys, *argv, "--out", "")
+    assert (code, out, err) == (1, "", "error: [Errno 2] No such file or directory: ''\n")
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_sweep_custom_spec_with_config(capsys, tmp_path):

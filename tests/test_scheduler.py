@@ -119,14 +119,16 @@ def test_rank_rejects_duplicates_and_empty_receivers():
 def test_rank_keeps_the_per_pair_checks():
     with pytest.raises(ValueError, match="after the scheduler clock"):
         scheduler.rank([make_record(t0=5.0)], [urban_view()], make_cfg(now=4.0))
-    # LogisticParams rejects upper=1.5 itself; built unchecked, it reaches rank's own check.
+    # LogisticParams rejects upper=1.5 itself; built unchecked, it reaches proximity_voi's check.
     unchecked = tuple.__new__(voi.LogisticParams, (1.5, *voi.DEFAULT_LOGISTIC[1:]))
     cfg = scheduler.SchedulerConfig(profile=voi.SAFETY, threshold=0.5, now=0.1, params=unchecked)
     with pytest.raises(ValueError) as info:
         scheduler.rank([make_record()], [urban_view(d=0.0)], cfg)
-    p = voi.proximity_voi(0.0, voi.URBAN.safety_distance, unchecked)
+    upper, lower, offset, scale, decay, shape = unchecked  # proximity_voi's curve at distance 0
+    denominator = (offset + scale * math.exp(-decay * (0.0 - voi.URBAN.safety_distance))) ** (1.0 / shape)
+    p = upper + (lower - upper) / denominator
     assert 1.49 < p < 1.5 and str(info.value) == f"proximity score must be in [0, 1], got {p}"
-    # TemporalClass rejects a NaN decay itself; built unchecked, it reaches rank's own check.
+    # TemporalClass rejects a NaN decay itself; built unchecked, it reaches timeliness_voi's check.
     stale = make_record(temporal=tuple.__new__(voi.TemporalClass, ("broken", math.nan)))
     with pytest.raises(ValueError) as info:
         scheduler.rank([stale], [urban_view()], make_cfg())

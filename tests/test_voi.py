@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from voinet import ahp, voi
+from voinet import ahp, scheduler, sweep, voi
 from conftest import ORACLE_SAFETY_WEIGHTS, ORACLE_TRAFFIC_WEIGHTS, SAFETY_ROWS, TRAFFIC_ROWS
 
 
@@ -232,6 +232,57 @@ def test_attribute_scores_reject_out_of_range():
     with pytest.raises(ValueError) as info:
         voi.AttributeScores(proximity=1.2, timeliness=0.5, quality=0.5)
     assert str(info.value) == "proximity score must be in [0, 1], got 1.2"
+
+
+# Built unchecked, as no constructor allows: a logistic upper of 1.5 and a NaN decay rate.
+UNCHECKED_UPPER = tuple.__new__(voi.LogisticParams, (1.5, *voi.DEFAULT_LOGISTIC[1:]))
+NAN_DECAY = tuple.__new__(voi.TemporalClass, ("broken", math.nan))
+MEDIUM = voi.SENSORS["medium"]
+
+
+def _urban_proximity_at_0(params):
+    """proximity_voi's curve at distance 0 in the urban scenario, computed without its check."""
+    upper, lower, offset, scale, decay, shape = params
+    denominator = (offset + scale * math.exp(-decay * (0.0 - voi.URBAN.safety_distance))) ** (1.0 / shape)
+    return upper + (lower - upper) / denominator
+
+
+# Each entry point, called at distance 0 and age 0 with the given logistic parameters and
+# temporal class; together they reach every function that returns a conditional score.
+SCORE_ENTRY_POINTS = {
+    "proximity_voi": lambda params, temporal: voi.proximity_voi(0.0, voi.URBAN.safety_distance, params),
+    "timeliness_voi": lambda params, temporal: voi.timeliness_voi(0.0, temporal),
+    "quality_voi": lambda params, temporal: voi.quality_voi(0.0, MEDIUM, voi.URBAN, voi.PROCESSED),
+    "attribute_scores": lambda params, temporal: voi.attribute_scores(
+        make_ctx(distance=0.0, aoi=0.0, temporal=temporal), params),
+    "rank": lambda params, temporal: scheduler.rank(
+        [scheduler.PerceptionRecord("r", "v", 0.0, 0.0, temporal, MEDIUM)],
+        [scheduler.ReceiverView("rx", 0.0, voi.URBAN)],
+        scheduler.SchedulerConfig(voi.SAFETY, 0.5, 0.0, params)),
+    "run_sweep": lambda params, temporal: sweep.run_sweep(sweep.SweepSpec(
+        "distance", 0.0, 10.0, 10.0, (sweep.SweepSeries("o", voi.SAFETY, voi.URBAN, temporal, MEDIUM, aoi=0.0),),
+    ), params),
+}
+
+
+@pytest.mark.parametrize("entry, score", [
+    (entry, score) for entry in SCORE_ENTRY_POINTS for score in ("proximity", "timeliness", "quality")
+    if not entry.endswith("_voi") or entry.startswith(score)
+])
+def test_every_entry_point_checks_the_scores_it_computes(monkeypatch, entry, score):
+    # One score at a time is put out of [0, 1]: proximity by an upper of 1.5, timeliness by
+    # a NaN decay, quality (which clamps its geometry) by a processed score of NaN.
+    params, temporal, got = voi.DEFAULT_LOGISTIC, voi.VARIABLE, math.nan
+    if score == "proximity":
+        params, got = UNCHECKED_UPPER, _urban_proximity_at_0(UNCHECKED_UPPER)
+        assert 1.49 < got < 1.5
+    elif score == "timeliness":
+        temporal = NAN_DECAY
+    else:
+        monkeypatch.setattr(voi, "quality_voi_processed", lambda obs_distance, sensor: math.nan)
+    with pytest.raises(ValueError) as info:
+        SCORE_ENTRY_POINTS[entry](params, temporal)
+    assert str(info.value) == f"{score} score must be in [0, 1], got {got}"
 
 
 def test_profile_validation():

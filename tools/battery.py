@@ -213,6 +213,8 @@ def cases() -> dict[str, tuple[list[str], dict]]:
         "spec-null-in-name": spec(name="a\u0000b"),
         "spec-out-missing-dir": (["sweep", "--spec", "spec.json", "--out", "no/such/dir.csv"],
                                  {"spec.json": json.dumps(SPEC)}),
+        "sweep-out-empty": (["sweep", "--figure", "fig2a", "--out", ""], {}),
+        "schedule-out-empty": schedule(jsonl(RECORD), jsonl(RECEIVER), "--out", ""),
     }
     return {**good, **{f"bad-{name}": case for name, case in bad.items()}}
 
