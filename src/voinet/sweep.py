@@ -172,9 +172,8 @@ class CurveSet(namedtuple("CurveSet", "spec xs curves")):
         for note in self.spec.notes:
             out.write(f"# note: {note}\n")
         out.write("x," + ",".join(s.label for s in self.spec.series) + "\n")
-        for i, x in enumerate(self.xs):
-            row = [format(x, ".6g")] + [format(curve[i], ".6g") for curve in self.curves]
-            out.write(",".join(row) + "\n")
+        row = ",".join(["%.6g"] * (1 + len(self.curves))) + "\n"  # %.6g prints as format(v, ".6g")
+        out.write("".join(row % values for values in zip(self.xs, *self.curves)))
         return out.getvalue()
 
 
@@ -198,15 +197,14 @@ def _describe(series: SweepSeries) -> str:
     return " ".join(parts)
 
 
-def _observation_distance(spec: SweepSpec, series: SweepSeries, distance: float) -> float:
-    """An overall series' obs_distance: its own, or half the distance, snapped down to obs_grid."""
+def _observation_distances(spec: SweepSpec, series: SweepSeries, distances: tuple[float, ...]) -> list[float]:
+    """An overall series' obs_distance: its own, fixed, or half of each distance, snapped down to obs_grid."""
     if series.obs_distance is not None:
-        return series.obs_distance
-    if spec.obs_grid is not None:
-        cells = distance / (2.0 * spec.obs_grid)
-        if cells < math.inf:  # else a grid too fine to count cells in: no snap
-            return spec.obs_grid * math.floor(cells)
-    return distance / 2.0
+        return [series.obs_distance]
+    if spec.obs_grid is None:
+        return [d / 2.0 for d in distances]
+    cells = [d / (2.0 * spec.obs_grid) for d in distances]  # inf for a grid too fine to count cells in: no snap
+    return [spec.obs_grid * math.floor(n) if n < math.inf else d / 2.0 for n, d in zip(cells, distances)]
 
 
 def _score_pass(
@@ -215,10 +213,11 @@ def _score_pass(
     """The scores of the series' context at each grid point, one list per attribute.
 
     An overall series gets timeliness, proximity and quality, for each
-    profile to weigh; a conditional series gets its one attribute.
+    profile to weigh; a conditional series gets its one attribute. An
+    input the sweep holds fixed is scored once, and the score repeated.
     """
     attribute, scenario = series.attribute, series.scenario
-    fixed = [series.aoi if spec.variable == "distance" else series.distance] * len(xs)
+    fixed = [series.aoi if spec.variable == "distance" else series.distance]  # scored once
     distances, aois = (xs, fixed) if spec.variable == "distance" else (fixed, xs)
     scores = []
     if attribute in ("overall", "timeliness"):
@@ -226,18 +225,19 @@ def _score_pass(
     if attribute in ("overall", "proximity"):
         scores.append([proximity_voi(d, scenario.safety_distance, params) for d in distances])
     if attribute == "overall":
-        obs = [_observation_distance(spec, series, d) for d in distances]
+        obs = _observation_distances(spec, series, distances)
     elif attribute == "quality":  # the sweep variable is the observation distance itself
-        obs = distances if series.obs_distance is None else [series.obs_distance] * len(xs)
+        obs = distances if series.obs_distance is None else [series.obs_distance]
     if attribute in ("overall", "quality"):
         scores.append([quality_voi(d, series.sensor, scenario, series.mode) for d in obs])
-    return tuple(scores)
+    return tuple(score * len(xs) if len(score) == 1 else score for score in scores)
 
 
 def run_sweep(spec: SweepSpec, params: LogisticParams = DEFAULT_LOGISTIC) -> CurveSet:
     """Evaluate every series of the spec over its grid.
 
-    Series that differ only in label and profile share one scoring pass.
+    Series that differ only in label and profile share one scoring pass,
+    and an input the sweep holds fixed is scored once.
     """
     xs = spec.grid()
     passes: dict[tuple, tuple[list[float], ...]] = {}

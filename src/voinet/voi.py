@@ -290,7 +290,7 @@ def quality_voi_processed(obs_distance: float, sensor: SensorModel) -> float:
     height * focal; observations beyond that carry no quality value.
     """
     raw = 1.0 - non_negative("observation distance", obs_distance) / (sensor.height * sensor.focal)
-    return min(1.0, max(0.0, raw))
+    return min(max(raw, 0.0), 1.0)  # a NaN raw stays NaN, for quality_voi's check to refuse
 
 
 def los_probability(distance: float, scenario: Scenario) -> float:

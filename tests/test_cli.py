@@ -178,9 +178,18 @@ def test_argparse_errors_exit_1(capsys):
     assert run_cli(capsys, "sweep", "--bogus")[0] == 1
 
 
-@pytest.mark.parametrize("command", ["weights --profile safety", "assess --profile safety --distance 100 --aoi 0.1"])
-def test_the_readme_transcripts_are_what_the_cli_prints(capsys, command):
+@pytest.mark.parametrize("command", [
+    "weights --profile safety", "assess --profile safety --distance 100 --aoi 0.1",
+    "schedule --records records.jsonl --receivers receivers.jsonl --profile safety --threshold 0.5 --now 0.5",
+])
+def test_the_readme_transcripts_are_what_the_cli_prints(capsys, monkeypatch, tmp_path, command):
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    # schedule reads the README's JSON lines: its records block, then its receivers block.
+    records, receivers = re.findall(r"```json\n(.*?)```", readme, re.S)
+    (tmp_path / "records.jsonl").write_text(records, encoding="utf-8")
+    (tmp_path / "receivers.jsonl").write_text(receivers, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    readme = re.sub(r" \\\n +", " ", readme)  # join a command's continued lines
     shown = re.search(rf"```text\n\$ voinet {re.escape(command)}\n(.*?)```", readme, re.S)
     assert shown is not None, f"README shows no transcript of voinet {command}"
     assert run_cli(capsys, *command.split()) == (0, shown[1], "")

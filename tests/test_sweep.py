@@ -314,3 +314,21 @@ def test_every_sweep_point_is_bitwise_the_scalar_score(spec, params):
     for series, curve in zip(spec.series, curves.curves):
         expected = [scalar_value(spec, series, x, params) for x in curves.xs]
         assert [value.hex() for value in curve] == [value.hex() for value in expected], series
+
+
+def test_an_input_the_sweep_holds_fixed_is_scored_once(monkeypatch):
+    calls = dict.fromkeys(("timeliness_voi", "proximity_voi", "quality_voi"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _score=getattr(sweep, name)):
+            calls[_name] += 1
+            return _score(*args)
+        monkeypatch.setattr(sweep, name, counted)
+    sweep.run_sweep(sweep.figure_preset("fig3a"))  # 51 distances, two contexts, each at a fixed age
+    assert calls == {"timeliness_voi": 2, "proximity_voi": 102, "quality_voi": 102}
+    calls.update(dict.fromkeys(calls, 0))
+    sweep.run_sweep(sweep.SweepSpec("aoi", 0.0, 1.0, 0.1, (  # 11 ages
+        sweep.SweepSeries("o", voi.SAFETY, voi.URBAN, voi.VARIABLE, voi.SENSORS["low"], distance=50.0),
+        sweep.SweepSeries("p", attribute="proximity", scenario=voi.HIGHWAY, distance=50.0),
+        sweep.SweepSeries("q", attribute="quality", sensor=voi.SENSORS["low"], obs_distance=20.0),
+    )))
+    assert calls == {"timeliness_voi": 11, "proximity_voi": 2, "quality_voi": 2}

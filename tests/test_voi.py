@@ -285,6 +285,15 @@ def test_every_entry_point_checks_the_scores_it_computes(monkeypatch, entry, sco
     assert str(info.value) == f"{score} score must be in [0, 1], got {got}"
 
 
+@pytest.mark.parametrize("mode", voi.MODES)
+def test_a_nan_quality_is_refused_not_clamped_to_0(mode):
+    # The clamp to [0, 1] keeps a NaN geometry score NaN, so quality_voi's check sees it.
+    sensor = tuple.__new__(voi.SensorModel, (*MEDIUM[:3], math.nan))
+    with pytest.raises(ValueError) as info:
+        voi.quality_voi(10.0, sensor, voi.URBAN, mode)
+    assert str(info.value) == "quality score must be in [0, 1], got nan"
+
+
 def test_profile_validation():
     with pytest.raises(ValueError, match="sum"):
         voi.ApplicationProfile("bad", 0.5, 0.5, 0.5)

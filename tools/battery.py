@@ -13,7 +13,7 @@ for byte:
 The cases: `schedule` on the benchmark's seeded fanout batch (seeds 1 and 2), every
 figure preset's CSV, `weights`, `presets`, `assess`, custom configs, specs and
 matrices, and one case per bad input. Not part of the test suite: it starts about
-100 interpreters, one after another.
+110 interpreters, one after another.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ RECORD = {"id": "r1", "source": "v1", "t0": 0.0, "d_o": 50.0, "temporal": "varia
 RECEIVER = {"id": "rx1", "distance": 100.0, "scenario": "urban"}
 SERIES = {"label": "p", "attribute": "proximity", "scenario": "urban"}
 SPEC = {"name": "s", "variable": "distance", "start": 0, "stop": 100, "step": 10, "series": [SERIES]}
+OVERALL = {"profile": "safety", "scenario": "urban", "temporal": "variable", "sensor": "medium", "aoi": 0.1}
 CONFIG = {
     "profiles": {"mine": {"weights": {"timeliness": 0.2, "proximity": 0.5, "quality": 0.3}}},
     "scenarios": {"slow": {"kind": "urban", "v_max": 20.0}},
@@ -124,6 +125,24 @@ def cases() -> dict[str, tuple[list[str], dict]]:
         "sweep-spec-overall": spec(series=[{"label": "o", "profile": "safety", "scenario": "urban",
                                             "temporal": "dynamic", "sensor": "low", "aoi": 0.2}],
                                    obs_grid=10),
+        # Inputs a sweep holds fixed, in the shapes no figure preset has.
+        "sweep-spec-aoi-overall": spec(variable="aoi", stop=5, step=0.5, obs_grid=10, series=[
+            dict(OVERALL, label="safety", scenario="highway", aoi=None, distance=65),
+            dict(OVERALL, label="traffic", profile="traffic", scenario="highway", aoi=None, distance=65),
+            dict(OVERALL, label="own-obs", aoi=None, distance=65, obs_distance=20)]),
+        "sweep-spec-quality-fixed-obs": spec(series=[
+            {"label": "p", "attribute": "quality", "sensor": "low", "obs_distance": 120},
+            {"label": "n", "attribute": "quality", "sensor": "medium", "scenario": "highway",
+             "mode": "nonprocessed", "obs_distance": 80}]),
+        "sweep-spec-aoi-quality-fixed-distance": spec(variable="aoi", stop=2, step=0.25, series=[
+            {"label": "q", "attribute": "quality", "sensor": "high", "distance": 300},
+            {"label": "p", "attribute": "proximity", "scenario": "urban", "distance": 30}]),
+        "sweep-spec-timeliness-no-aoi": spec(series=[
+            {"label": "t", "attribute": "timeliness", "temporal": "dynamic"},
+            {"label": "u", "attribute": "timeliness", "temporal": 0.5, "aoi": 0.3}]),
+        "sweep-spec-overall-no-obs-grid": spec(step=7, series=[
+            dict(OVERALL, label="safety"), dict(OVERALL, label="traffic", profile="traffic"),
+            dict(OVERALL, label="own-obs", obs_distance=25)]),
         "help": (["--help"], {}),
         "help-schedule": (["schedule", "--help"], {}),
     }
