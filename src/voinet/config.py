@@ -15,7 +15,6 @@ import re
 import sys
 from collections import namedtuple
 from collections.abc import Callable, Mapping
-from functools import partial
 
 from . import ahp
 from ._checked import check_csv_text, unit_interval
@@ -69,11 +68,8 @@ def default_config() -> ConfigDocument:
 def parse_config(data: object) -> ConfigDocument:
     if not isinstance(data, Mapping):
         raise ValueError("config must be a JSON object")
-    base, tables = default_config(), {}
-    for key, parse in (
-        ("profiles", _parse_profile), ("scenarios", _parse_scenario), ("sensors", _parse_sensor)
-    ):
-        table = tables[key] = dict(getattr(base, key))
+    cfg = default_config()  # its profiles, scenarios and sensors are fresh dicts, filled in here
+    for key, table, parse in zip(cfg._fields, cfg, (_parse_profile, _parse_scenario, _parse_sensor)):
         for name, obj in _section(data, key).items():
             entry = f"{key[:-1]} {name!r}"  # "profile 'p'", "scenario 's'" or "sensor 'x'"
             if not isinstance(obj, Mapping):
@@ -84,18 +80,18 @@ def parse_config(data: object) -> ConfigDocument:
     threshold = None
     if defaults.get("threshold") is not None:
         threshold = unit_interval("defaults.threshold", _at("defaults", _number, defaults, "threshold"))
-    return ConfigDocument(**tables, logistic=logistic, threshold=threshold)
+    return cfg._replace(logistic=logistic, threshold=threshold)
 
 
 def _text(path: str, data: bytes, line: int = 1) -> str:
     """data decoded as UTF-8, or a ValueError naming path:line and the column of its first bad byte.
 
-    line numbers data's first line; lines end at LF, CRLF or CR, as in text mode.
+    line numbers data's first line; its lines end at LF (read_json normalises them, _read_jsonl passes one).
     """
     try:
         return data.decode()  # bytes.decode's default is UTF-8, whatever the locale
     except UnicodeDecodeError as exc:
-        head = data[: exc.start].decode().replace("\r\n", "\n").replace("\r", "\n")
+        head = data[: exc.start].decode()
         line += head.count("\n")
         column = len(head) - head.rfind("\n")
         raise ValueError(f"{shown(path)}:{line}: not UTF-8 text: {exc.reason} at column {column}") from None
@@ -126,10 +122,10 @@ def _json(text: str) -> object:
 def read_json(path: str) -> object:
     """Parse one JSON file, naming the file if it is not valid JSON.
 
-    CRLF and CR read as LF, as in text mode, so json's positions count lines alike.
+    CRLF and CR read as LF in the bytes (no UTF-8 character holds either), so positions count lines alike.
     """
-    text = _text(path, _read(path)).replace("\r\n", "\n").replace("\r", "\n")
-    return _at(shown(path), _json, text)
+    data = _read(path).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return _at(shown(path), _json, _text(path, data))
 
 
 def load_config(path: str | None) -> ConfigDocument:
@@ -274,8 +270,8 @@ def parse_temporal(obj: Mapping[str, object]):
 _decode = json.JSONDecoder().raw_decode
 
 
-def _read_jsonl(path: str, kind: str, parse: Callable[[dict], object]) -> list:
-    """parse(obj) for each non-blank line's JSON object, each with a new id; errors name file:line.
+def _read_jsonl(path: str, kind: str, parse: Callable[..., object], cfg: ConfigDocument) -> list:
+    """parse(obj, cfg) for each non-blank line's JSON object, each with a new id; errors name file:line.
 
     Lines end at LF, CRLF or CR, as in text mode, and are decoded one by one,
     so that errors come in line order.
@@ -297,7 +293,7 @@ def _read_jsonl(path: str, kind: str, parse: Callable[[dict], object]) -> list:
                 obj = _json(line.rstrip("\r\n"))  # json's own message, columns counted in the line
             if not isinstance(obj, dict):
                 raise ValueError("expected a JSON object per line")
-            items.append(parse(obj))
+            items.append(parse(obj, cfg))
             item_id = obj["id"]  # parse has read it as a JSON string
             check_csv_text("id", item_id)  # the schedule CSV prints ids unquoted
             first = first_line.setdefault(item_id, lineno)
@@ -308,7 +304,7 @@ def _read_jsonl(path: str, kind: str, parse: Callable[[dict], object]) -> list:
     return items
 
 
-def _parse_record(cfg: ConfigDocument, obj: dict) -> PerceptionRecord:
+def _parse_record(obj: dict, cfg: ConfigDocument) -> PerceptionRecord:
     head = (_string(obj, "id"), _string(obj, "source"), _number(obj, "t0"), _number(obj, "d_o"))
     try:  # JSON keys are strings, so only a valid name is found; the readers word the rest
         tail = (TEMPORAL_CLASSES[obj["temporal"]], cfg.sensors[obj["sensor"]],
@@ -328,10 +324,10 @@ def load_records(path: str, cfg: ConfigDocument) -> list[PerceptionRecord]:
     Fields: id, source, t0, d_o, temporal (class name or decay rate),
     sensor (config name), mode (optional, default processed).
     """
-    return _read_jsonl(path, "record", partial(_parse_record, cfg))
+    return _read_jsonl(path, "record", _parse_record, cfg)
 
 
-def _parse_receiver(cfg: ConfigDocument, obj: dict) -> ReceiverView:
+def _parse_receiver(obj: dict, cfg: ConfigDocument) -> ReceiverView:
     return _at(
         "field 'distance'", ReceiverView, _string(obj, "id"), _number(obj, "distance"),
         resolve_name(cfg.scenarios, _string(obj, "scenario"), "scenario"),
@@ -340,7 +336,7 @@ def _parse_receiver(cfg: ConfigDocument, obj: dict) -> ReceiverView:
 
 def load_receivers(path: str, cfg: ConfigDocument) -> list[ReceiverView]:
     """Read receiver views, one JSON object per line: id, distance, scenario; at least one."""
-    receivers = _read_jsonl(path, "receiver", partial(_parse_receiver, cfg))
+    receivers = _read_jsonl(path, "receiver", _parse_receiver, cfg)
     if not receivers:
         raise ValueError(f"{shown(path)}: at least one receiver is required")
     return receivers

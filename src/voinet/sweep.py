@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Sequence
 from io import StringIO
 
 from ._checked import Checked, check_csv_text, finite, non_negative, one_of, positive
@@ -188,19 +189,20 @@ def _describe(series: SweepSeries) -> str:
     if series.sensor is not None:
         parts.append(f"sensor={series.sensor.resolution:g}px")
     parts.append(f"mode={series.mode}")
-    if series.aoi is not None:
-        parts.append(f"aoi={series.aoi:g}")
-    if series.distance is not None:
-        parts.append(f"distance={series.distance:g}")
-    if series.obs_distance is not None:
-        parts.append(f"obs_distance={series.obs_distance:g}")
+    for name, value in zip(SweepSeries._fields[-3:], series[-3:]):  # aoi, distance, obs_distance
+        if value is not None:
+            parts.append(f"{name}={value:g}")
     return " ".join(parts)
 
 
-def _observation_distances(spec: SweepSpec, series: SweepSeries, distances: tuple[float, ...]) -> list[float]:
-    """An overall series' obs_distance: its own, fixed, or half of each distance, snapped down to obs_grid."""
+def _observation_distances(spec: SweepSpec, series: SweepSeries, distances: Sequence[float]) -> Sequence[float]:
+    """Where a series observes: at its own obs_distance, when set; else a quality series at each
+    sweep distance itself, and an overall one at half of it, snapped down to obs_grid when set.
+    """
     if series.obs_distance is not None:
         return [series.obs_distance]
+    if series.attribute == "quality":
+        return distances
     if spec.obs_grid is None:
         return [d / 2.0 for d in distances]
     cells = [d / (2.0 * spec.obs_grid) for d in distances]  # inf for a grid too fine to count cells in: no snap
@@ -212,9 +214,9 @@ def _score_pass(
 ) -> tuple[list[float], ...]:
     """The scores of the series' context at each grid point, one list per attribute.
 
-    An overall series gets timeliness, proximity and quality, for each
-    profile to weigh; a conditional series gets its one attribute. An
-    input the sweep holds fixed is scored once, and the score repeated.
+    An overall series gets timeliness, proximity and quality, for each profile to
+    weigh; a conditional series gets its one attribute. Either scores quality at
+    _observation_distances. An input the sweep holds fixed is scored once, and repeated.
     """
     attribute, scenario = series.attribute, series.scenario
     fixed = [series.aoi if spec.variable == "distance" else series.distance]  # scored once
@@ -224,11 +226,8 @@ def _score_pass(
         scores.append([timeliness_voi(0.0 if aoi is None else aoi, series.temporal) for aoi in aois])
     if attribute in ("overall", "proximity"):
         scores.append([proximity_voi(d, scenario.safety_distance, params) for d in distances])
-    if attribute == "overall":
-        obs = _observation_distances(spec, series, distances)
-    elif attribute == "quality":  # the sweep variable is the observation distance itself
-        obs = distances if series.obs_distance is None else [series.obs_distance]
     if attribute in ("overall", "quality"):
+        obs = _observation_distances(spec, series, distances)
         scores.append([quality_voi(d, series.sensor, scenario, series.mode) for d in obs])
     return tuple(score * len(xs) if len(score) == 1 else score for score in scores)
 

@@ -189,9 +189,8 @@ class AttributeScores(Checked, namedtuple("AttributeScores", "proximity timeline
     __slots__ = ()
 
     def __new__(cls, proximity: float, timeliness: float, quality: float) -> AttributeScores:
-        unit_interval("proximity score", proximity)
-        unit_interval("timeliness score", timeliness)
-        unit_interval("quality score", quality)
+        for name, score in zip(cls._fields, (proximity, timeliness, quality)):
+            unit_interval(f"{name} score", score)
         return tuple.__new__(cls, (proximity, timeliness, quality))
 
 

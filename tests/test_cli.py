@@ -900,6 +900,28 @@ def test_undecodable_bytes_are_located(capsys, tmp_path):
     assert not out_path.exists()
 
 
+def test_a_bad_byte_has_one_line_and_column_whatever_the_line_ends(capsys, tmp_path):
+    # Line 3 of a config file, of a --matrix file and of a records file holds a byte that
+    # is not UTF-8; LF, CRLF and CR all count it at the same line and column.
+    other, records = tmp_path / "other.json", tmp_path / "records.jsonl"
+    receivers = tmp_path / "receivers.jsonl"
+    receivers.write_text(json.dumps({"id": "a", "distance": 1.0, "scenario": "urban"}) + "\n")
+    for path, lines, args, column in (
+        (other, [b'{"profiles":', b' {"p":', b'  {"w\xff": 1}}}'],
+         ("assess", "--config", str(other), "--profile", "safety", "--distance", "1"), 6),
+        (other, [b"[[1, 1, 1],", b" [1, 1, 1],", b" [1, 1, \xff]]"], ("weights", "--matrix", str(other)), 9),
+        (records, [b"", b" ", b'{"id": "r\xff"}'],
+         ("schedule", "--records", str(records), "--receivers", str(receivers), "--profile", "safety",
+          "--threshold", "0.5"), 10),
+    ):
+        for end in (b"\n", b"\r\n", b"\r"):
+            path.write_bytes(end.join(lines) + end)
+            code, out, err = run_cli(capsys, *args)
+            assert (code, out, err) == (
+                1, "", f"error: {path}:3: not UTF-8 text: invalid start byte at column {column}\n"
+            ), end
+
+
 def test_a_records_file_reports_its_first_bad_line_first(capsys, tmp_path):
     records, receivers = tmp_path / "records.jsonl", tmp_path / "receivers.jsonl"
     receivers.write_text(json.dumps({"id": "a", "distance": 1.0, "scenario": "urban"}) + "\n")

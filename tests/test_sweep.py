@@ -118,6 +118,19 @@ def test_preset_csv_headers_are_frozen():
     assert mine == frozen
 
 
+def test_a_series_line_prints_aoi_distance_and_obs_distance_in_field_order():
+    # No preset sets all three, so preset_headers.txt does not pin their order.
+    series = sweep.SweepSeries(
+        "all", voi.SAFETY, voi.URBAN, voi.VARIABLE, voi.SENSORS["medium"],
+        aoi=0.25, distance=120.0, obs_distance=37.5,
+    )
+    spec = sweep.SweepSpec(variable="distance", start=0.0, stop=20.0, step=10.0, series=(series,))
+    assert sweep.run_sweep(spec).to_csv().splitlines()[3] == (
+        "# series all: attribute=overall profile=safety scenario=urban temporal=variable decay=1 "
+        "sensor=1280px mode=processed aoi=0.25 distance=120 obs_distance=37.5"
+    )
+
+
 def test_custom_overall_sweeps_match_the_scalar_score():
     # Three ways a custom overall sweep picks its context: the observation
     # distance derived as distance / 2 (no obs_grid), a fixed series
