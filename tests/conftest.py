@@ -1,4 +1,4 @@
-"""Shared oracle and golden-file helpers.
+"""Shared oracle, golden-file and process helpers.
 
 The eigen oracle here deliberately avoids the package's power iteration:
 for a 3x3 reciprocal comparison matrix the principal eigenvalue is the
@@ -10,8 +10,19 @@ were produced by this oracle before the implementation existed.
 from __future__ import annotations
 
 import csv
+import json
+import os
+import shutil
+import subprocess
+import sys
+import sysconfig
 from pathlib import Path
 
+import voinet
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+# Whether pytest imported voinet from this tree's src/ rather than from an install.
+FROM_SRC = SRC in Path(voinet.__file__).resolve().parents
 DATA_DIR = Path(__file__).parent / "data"
 
 # JSON values that are not finite numbers; every numeric input field must
@@ -85,7 +96,7 @@ def oracle_eigen(rows) -> tuple[float, tuple[float, float, float]]:
 def load_curves(name: str):
     """Read a frozen curve file: (xs, {label: values})."""
     path = DATA_DIR / "curves" / f"{name}.csv"
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
     header, body = rows[0], rows[1:]
     xs = [float(r[0]) for r in body]
@@ -93,3 +104,51 @@ def load_curves(name: str):
         label: [float(r[i]) for r in body] for i, label in enumerate(header) if i > 0
     }
     return xs, columns
+
+
+def write_jsonl(path, objs):
+    path.write_text("\n".join(json.dumps(o) for o in objs) + "\n", encoding="utf-8")
+
+
+def base_record(rid, d_o, t0=0.0):
+    return {"id": rid, "source": "v1", "t0": t0, "d_o": d_o, "temporal": "variable", "sensor": "medium"}
+
+
+def schedule_files(tmp_path, records, receivers):
+    rec_path = tmp_path / "records.jsonl"
+    rcv_path = tmp_path / "receivers.jsonl"
+    write_jsonl(rec_path, records)
+    write_jsonl(rcv_path, receivers)
+    return str(rec_path), str(rcv_path)
+
+
+def voinet_command():
+    """The command that starts the voinet this process imported.
+
+    From src/ that is `python -m voinet.cli` in this interpreter; from an
+    install, the console script installed beside this interpreter. A missing
+    script fails the test: it never falls back to src/.
+    """
+    if FROM_SRC:
+        return [sys.executable, "-m", "voinet.cli"]
+    script = shutil.which("voinet", path=sysconfig.get_path("scripts"))
+    assert script, f"no voinet console script in {sysconfig.get_path('scripts')}"
+    return [script]
+
+
+def process_env(env=None):
+    """os.environ for a child, updated by env; a key that env maps to None is unset.
+
+    From src/, src/ comes first on PYTHONPATH. Every child turns an open()
+    that names no encoding into an error.
+    """
+    full = dict(os.environ, PYTHONWARNDEFAULTENCODING="1", PYTHONWARNINGS="error::EncodingWarning")
+    if FROM_SRC:
+        full["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    full.update(env or {})
+    return {key: value for key, value in full.items() if value is not None}
+
+
+def run_voinet(argv, env=None, **kwargs):
+    """subprocess.run of voinet argv, through voinet_command() and process_env(env)."""
+    return subprocess.run([*voinet_command(), *argv], env=process_env(env), **kwargs)

@@ -220,7 +220,7 @@ def test_criterion_9_cli_end_to_end(tmp_path, capsys):
     capsys.readouterr()
     assert first.read_bytes() == second.read_bytes()
 
-    rows = [l.split(",") for l in first.read_text().splitlines() if not l.startswith("#")]
+    rows = [l.split(",") for l in first.read_text(encoding="utf-8").splitlines() if not l.startswith("#")]
     header, data = rows[0], rows[1:]
     by_x = {float(r[0]): r for r in data}
     safety_col = header.index("fig3a:urban:safety:processed")

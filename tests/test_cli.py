@@ -5,14 +5,11 @@ import io
 import json
 import os
 import random
-import re
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-from conftest import DATA_DIR, NOT_FINITE_NUMBERS
+from conftest import DATA_DIR, NOT_FINITE_NUMBERS, base_record, schedule_files, write_jsonl
 from voinet import cli
 from voinet.cli import main
 
@@ -25,10 +22,6 @@ def run_cli(capsys, *args):
 
 def parse_kv_line(line):
     return {key: float(value) for key, value in (part.split("=") for part in line.split())}
-
-
-def write_jsonl(path, objs):
-    path.write_text("\n".join(json.dumps(o) for o in objs) + "\n")
 
 
 def weights_from(out):
@@ -54,7 +47,7 @@ def test_weights_builtin_safety(capsys):
 
 def test_weights_from_matrix_file(capsys, tmp_path):
     path = tmp_path / "traffic.json"
-    path.write_text(json.dumps([[1, 9, 3], [1 / 9, 1, 1 / 7], [1 / 3, 7, 1]]))
+    path.write_text(json.dumps([[1, 9, 3], [1 / 9, 1, 1 / 7], [1 / 3, 7, 1]]), encoding="utf-8")
     code, out, _ = run_cli(capsys, "weights", "--matrix", str(path))
     assert code == 0
     assert weights_from(out)["timeliness"] == pytest.approx(0.6554, abs=1e-4)
@@ -63,7 +56,7 @@ def test_weights_from_matrix_file(capsys, tmp_path):
 
 def test_weights_all_ones_matrix(capsys, tmp_path):
     path = tmp_path / "ones.json"
-    path.write_text(json.dumps([[1, 1, 1], [1, 1, 1], [1, 1, 1]]))
+    path.write_text(json.dumps([[1, 1, 1], [1, 1, 1], [1, 1, 1]]), encoding="utf-8")
     code, out, _ = run_cli(capsys, "weights", "--matrix", str(path))
     assert code == 0
     for value in weights_from(out).values():
@@ -74,7 +67,7 @@ def test_weights_all_ones_matrix(capsys, tmp_path):
 def test_weights_of_a_consistent_matrix_print_no_negative_zero(capsys, tmp_path):
     # The Rayleigh quotient lands just below n here; lambda_max >= n, so the index is 0.
     path = tmp_path / "consistent.json"
-    path.write_text(json.dumps([[1, 1, 0.2], [1, 1, 0.2], [5, 5, 1]]))
+    path.write_text(json.dumps([[1, 1, 0.2], [1, 1, 0.2], [5, 5, 1]]), encoding="utf-8")
     assert run_cli(capsys, "weights", "--matrix", str(path)) == (0, (
         f"matrix: {path} (3x3)\n"
         "weights: timeliness=0.142857 proximity=0.142857 quality=0.714286\n"
@@ -89,7 +82,7 @@ def test_weights_of_a_consistent_matrix_print_no_negative_zero(capsys, tmp_path)
 def test_weights_inconsistent_matrix_exits_2(capsys, tmp_path):
     path = tmp_path / "cyclic.json"
     rows = [[1, 9, 1 / 9], [1 / 9, 1, 9], [9, 1 / 9, 1]]
-    path.write_text(json.dumps({"labels": ["a", "b", "c"], "matrix": rows}))
+    path.write_text(json.dumps({"labels": ["a", "b", "c"], "matrix": rows}), encoding="utf-8")
     code, out, _ = run_cli(capsys, "weights", "--matrix", str(path))
     assert code == 2
     assert stat_from(out, "acceptable") == "no"
@@ -97,7 +90,7 @@ def test_weights_inconsistent_matrix_exits_2(capsys, tmp_path):
 
 def test_weights_saaty_range_diagnostic(capsys, tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps([[1, 15, 1], [1 / 15, 1, 1], [1, 1, 1]]))
+    path.write_text(json.dumps([[1, 15, 1], [1 / 15, 1, 1], [1, 1, 1]]), encoding="utf-8")
     code, _, err = run_cli(capsys, "weights", "--matrix", str(path))
     assert code == 1
     assert "Saaty range" in err
@@ -107,7 +100,7 @@ def test_weights_saaty_range_diagnostic(capsys, tmp_path):
 @pytest.mark.parametrize("bad", NOT_FINITE_NUMBERS)
 def test_weights_matrix_entries_must_be_finite_numbers(capsys, tmp_path, bad):
     path = tmp_path / "m.json"
-    path.write_text(json.dumps({"matrix": [[1, bad, 1], [1, 1, 1], [1, 1, 1]]}))
+    path.write_text(json.dumps({"matrix": [[1, bad, 1], [1, 1, 1], [1, 1, 1]]}), encoding="utf-8")
     code, out, err = run_cli(capsys, "weights", "--matrix", str(path))
     assert code == 1 and out == ""
     assert f"{path}: the matrix must be a list of rows of finite numbers" in err
@@ -122,11 +115,11 @@ def test_weights_matrix_must_be_square(capsys, tmp_path):
         ({"labels": "ab", "matrix": [[1, 1], [1, 1]]}, "labels must be a list of strings"),
         (5, "expected a JSON matrix or an object with a 'matrix' key"),
     ):
-        matrix.write_text(json.dumps(doc))
+        matrix.write_text(json.dumps(doc), encoding="utf-8")
         cases = [(("weights", "--matrix", str(matrix)), f"{matrix}: ")]
         if doc != 5:  # a profile holds rows under "matrix", or the object form itself
             profile = {"matrix": doc} if isinstance(doc, list) else doc
-            config.write_text(json.dumps({"profiles": {"p": profile}}))
+            config.write_text(json.dumps({"profiles": {"p": profile}}), encoding="utf-8")
             cases.append((("assess", "--config", str(config), "--profile", "p", "--distance", "1"),
                           f"{config}: profile 'p': "))
         for args, where in cases:
@@ -143,14 +136,14 @@ def test_weights_unknown_profile(capsys):
 
 def test_weights_of_a_2x2_matrix_and_of_a_size_without_a_random_index(capsys, tmp_path):
     path = tmp_path / "m.json"
-    path.write_text(json.dumps([[1, 2], [0.5, 1]]))
+    path.write_text(json.dumps([[1, 2], [0.5, 1]]), encoding="utf-8")
     code, out, err = run_cli(capsys, "weights", "--matrix", str(path))
     assert (code, err) == (0, "")
     assert weights_from(out) == pytest.approx({"c1": 2 / 3, "c2": 1 / 3}, abs=1e-6)
     assert [stat_from(out, key) for key in ("random_index", "consistency_ratio", "acceptable")] == [
         "0", "0.000000", "yes"
     ]
-    path.write_text(json.dumps([[1] * 11] * 11))
+    path.write_text(json.dumps([[1] * 11] * 11), encoding="utf-8")
     code, out, err = run_cli(capsys, "weights", "--matrix", str(path))
     assert (code, out) == (1, "")
     assert err == (
@@ -162,7 +155,7 @@ def test_weights_of_a_2x2_matrix_and_of_a_size_without_a_random_index(capsys, tm
 @pytest.mark.parametrize("label", ["a b", "a\nb", "a\tb", "\u2028", "a=b", "=", "a\ud800"])
 def test_weights_matrix_labels_that_would_split_the_output_are_located(capsys, tmp_path, label):
     path = tmp_path / "m.json"
-    path.write_text(json.dumps({"labels": ["x", "y", label], "matrix": [[1, 1, 1]] * 3}))
+    path.write_text(json.dumps({"labels": ["x", "y", label], "matrix": [[1, 1, 1]] * 3}), encoding="utf-8")
     code, out, err = run_cli(capsys, "weights", "--matrix", str(path))
     assert (code, out) == (1, "")
     assert err == (
@@ -176,23 +169,6 @@ def test_argparse_errors_exit_1(capsys):
     assert run_cli(capsys, "weights")[0] == 1
     assert run_cli(capsys, "weights", "--profile", "safety", "--matrix", "x")[0] == 1
     assert run_cli(capsys, "sweep", "--bogus")[0] == 1
-
-
-@pytest.mark.parametrize("command", [
-    "weights --profile safety", "assess --profile safety --distance 100 --aoi 0.1",
-    "schedule --records records.jsonl --receivers receivers.jsonl --profile safety --threshold 0.5 --now 0.5",
-])
-def test_the_readme_transcripts_are_what_the_cli_prints(capsys, monkeypatch, tmp_path, command):
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    # schedule reads the README's JSON lines: its records block, then its receivers block.
-    records, receivers = re.findall(r"```json\n(.*?)```", readme, re.S)
-    (tmp_path / "records.jsonl").write_text(records, encoding="utf-8")
-    (tmp_path / "receivers.jsonl").write_text(receivers, encoding="utf-8")
-    monkeypatch.chdir(tmp_path)
-    readme = re.sub(r" \\\n +", " ", readme)  # join a command's continued lines
-    shown = re.search(rf"```text\n\$ voinet {re.escape(command)}\n(.*?)```", readme, re.S)
-    assert shown is not None, f"README shows no transcript of voinet {command}"
-    assert run_cli(capsys, *command.split()) == (0, shown[1], "")
 
 
 def test_assess_reference_point(capsys):
@@ -289,7 +265,7 @@ def test_sweep_preset_is_byte_deterministic(capsys, tmp_path):
     assert "wrote 51 rows x 4 series" in out
     assert run_cli(capsys, "sweep", "--figure", "fig3a", "--out", str(second))[0] == 0
     assert first.read_bytes() == second.read_bytes()
-    rows = [l.split(",") for l in first.read_text().splitlines() if not l.startswith("#")]
+    rows = [l.split(",") for l in first.read_text(encoding="utf-8").splitlines() if not l.startswith("#")]
     header, data = rows[0], rows[1:]
     column = header.index("fig3a:urban:safety:processed")
     assert float(data[0][column]) == pytest.approx(0.985829, abs=1e-3)
@@ -333,7 +309,8 @@ def test_an_empty_out_path_is_refused_not_ignored(capsys, tmp_path, monkeypatch,
 
 def test_sweep_custom_spec_with_config(capsys, tmp_path):
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"scenarios": {"campus": {"kind": "urban", "v_max": 7.0}}}))
+    scenarios = {"campus": {"kind": "urban", "v_max": 7.0}}
+    config.write_text(json.dumps({"scenarios": scenarios}), encoding="utf-8")
     spec = {
         "name": "campus-proximity",
         "variable": "distance",
@@ -343,14 +320,14 @@ def test_sweep_custom_spec_with_config(capsys, tmp_path):
         "series": [{"label": "campus:prox", "attribute": "proximity", "scenario": "campus"}],
     }
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(spec))
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
     out_path = tmp_path / "campus.csv"
     code, out, _ = run_cli(
         capsys, "sweep", "--spec", str(spec_path), "--config", str(config), "--out", str(out_path),
     )
     assert code == 0
     assert "wrote 3 rows x 1 series" in out
-    body = [l for l in out_path.read_text().splitlines() if not l.startswith("#")]
+    body = [l for l in out_path.read_text(encoding="utf-8").splitlines() if not l.startswith("#")]
     assert body[0] == "x,campus:prox"
     assert len(body) == 4
 
@@ -365,7 +342,7 @@ def test_sweep_spec_missing_key(capsys, tmp_path):
     # Each spec lacks a required key and the one after it; the first of the two is named.
     required = ("variable", "start", "stop", "step", "series")
     for i, key in enumerate(required):
-        path.write_text(json.dumps({k: good[k] for k in required[:i] + required[i + 2:]}))
+        path.write_text(json.dumps({k: good[k] for k in required[:i] + required[i + 2:]}), encoding="utf-8")
         code, out, err = run_cli(capsys, "sweep", "--spec", str(path))
         assert (code, out, err) == (1, "", f"error: {path}: missing field {key!r}\n")
     out_path = str(tmp_path / "never.csv")
@@ -373,7 +350,7 @@ def test_sweep_spec_missing_key(capsys, tmp_path):
         for field in ("start", "stop", "step", "aoi"):
             spec = copy.deepcopy(good)
             (spec["series"][0] if field == "aoi" else spec)[field] = bad
-            path.write_text(json.dumps(spec))
+            path.write_text(json.dumps(spec), encoding="utf-8")
             code, out, err = run_cli(capsys, "sweep", "--spec", str(path), "--out", out_path)
             assert code == 1 and out == ""
             assert err.startswith(f"error: {path}: ")
@@ -408,7 +385,7 @@ def test_sweep_spec_missing_key(capsys, tmp_path):
                                ("scenario", 1), ("sensor", None))
         ),
     ):
-        path.write_text(json.dumps(spec))
+        path.write_text(json.dumps(spec), encoding="utf-8")
         code, _, err = run_cli(capsys, "sweep", "--spec", str(path), "--out", out_path)
         assert code == 1 and f"{path}: {message}" in err
     assert not (tmp_path / "never.csv").exists()
@@ -422,9 +399,9 @@ def test_json_nested_too_deep_is_located(capsys, tmp_path):
     good_receiver = json.dumps({"id": "a", "distance": 1.0, "scenario": "urban"})
     records, receivers = tmp_path / "records.jsonl", tmp_path / "receivers.jsonl"
     other = tmp_path / "deep.json"
-    other.write_text(deep)
+    other.write_text(deep, encoding="utf-8")
     split = tmp_path / "a\nb.json"  # named through repr, so that the error stays one line
-    split.write_text(deep)
+    split.write_text(deep, encoding="utf-8")
     schedule = ("schedule", "--records", str(records), "--receivers", str(receivers),
                 "--profile", "safety", "--threshold", "0.5")
     for record_lines, receiver_lines, args, where in (
@@ -436,24 +413,12 @@ def test_json_nested_too_deep_is_located(capsys, tmp_path):
         ([], [good_receiver], schedule[:2] + (str(split),) + schedule[3:], f"{str(split)!r}:1"),
         ([], [], ("weights", "--matrix", str(split)), repr(str(split))),
     ):
-        records.write_text("".join(line + "\n" for line in record_lines))
-        receivers.write_text("".join(line + "\n" for line in receiver_lines))
+        records.write_text("".join(line + "\n" for line in record_lines), encoding="utf-8")
+        receivers.write_text("".join(line + "\n" for line in receiver_lines), encoding="utf-8")
         code, out, err = run_cli(capsys, *args)
         assert code == 1 and out == ""
         assert err.startswith(f"error: {where}: invalid JSON: ") and err.count("\n") == 1
     assert not (tmp_path / "never.csv").exists()
-
-
-def schedule_files(tmp_path, records, receivers):
-    rec_path = tmp_path / "records.jsonl"
-    rcv_path = tmp_path / "receivers.jsonl"
-    write_jsonl(rec_path, records)
-    write_jsonl(rcv_path, receivers)
-    return str(rec_path), str(rcv_path)
-
-
-def base_record(rid, d_o, t0=0.0):
-    return {"id": rid, "source": "v1", "t0": t0, "d_o": d_o, "temporal": "variable", "sensor": "medium"}
 
 
 def test_schedule_reference_split(capsys, tmp_path):
@@ -500,7 +465,7 @@ def test_schedule_stdout_csv_and_ordering(capsys, tmp_path):
 
 def test_schedule_out_file_and_config_threshold(capsys, tmp_path):
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"defaults": {"threshold": 0.9}}))
+    config.write_text(json.dumps({"defaults": {"threshold": 0.9}}), encoding="utf-8")
     rec, rcv = schedule_files(
         tmp_path,
         [base_record("r1", 300.0)],
@@ -513,7 +478,7 @@ def test_schedule_out_file_and_config_threshold(capsys, tmp_path):
     )
     assert code == 0
     assert out.strip() == "transmit=0 cancelled=1"
-    content = out_path.read_text().splitlines()
+    content = out_path.read_text(encoding="utf-8").splitlines()
     assert content[0] == "rank,record_id,best_receiver,best_value,decision"
     assert content[1].endswith(",cancel")
 
@@ -682,14 +647,14 @@ def test_schedule_matches_the_golden_csv(capsys, tmp_path):
         "--profile", "traffic", "--threshold", "0.3", "--now", "6",
     )
     assert code == 0 and err == ""
-    assert out == (DATA_DIR / "schedule_golden.csv").read_text()
+    assert out == (DATA_DIR / "schedule_golden.csv").read_text(encoding="utf-8")
 
 
 def test_schedule_rejects_a_nan_weight(capsys, tmp_path):
     # json.load accepts the NaN literal.
     config = tmp_path / "cfg.json"
     config.write_text('{"profiles": {"p": {"weights": '
-                      '{"timeliness": NaN, "proximity": 0.5, "quality": 0.5}}}}')
+                      '{"timeliness": NaN, "proximity": 0.5, "quality": 0.5}}}}', encoding="utf-8")
     rec, rcv = schedule_files(
         tmp_path,
         [base_record("r1", 10.0), base_record("r2", 20.0)],
@@ -709,7 +674,7 @@ def test_logistic_overflow_gives_the_limit_not_a_traceback(capsys, tmp_path):
     )
     for logistic in ({"decay": 1000}, {"shape": 0.001}):  # math.exp and ** overflow a float
         config = tmp_path / "c.json"
-        config.write_text(json.dumps({"defaults": {"logistic": logistic}}))
+        config.write_text(json.dumps({"defaults": {"logistic": logistic}}), encoding="utf-8")
         code, out, err = run_cli(
             capsys, "assess", "--config", str(config), "--profile", "safety", "--distance", "0",
         )
@@ -733,7 +698,7 @@ def test_logistic_params_outside_the_unit_range_are_located(capsys, tmp_path):
         ({"upper": 2}, "logistic upper must be in [0, 1], got 2.0"),
         ({"offset": 0.1, "shape": 0.001}, "logistic far-distance limit must be in [0, 1], got -inf"),
     ):
-        config.write_text(json.dumps({"defaults": {"logistic": logistic}}))
+        config.write_text(json.dumps({"defaults": {"logistic": logistic}}), encoding="utf-8")
         code, out, err = run_cli(
             capsys, "sweep", "--figure", "fig2a", "--config", str(config), "--out", str(out_path),
         )
@@ -742,122 +707,15 @@ def test_logistic_params_outside_the_unit_range_are_located(capsys, tmp_path):
         assert not out_path.exists()
 
 
-C_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
-
-
-def run_process(argv, env=None, **kwargs):
-    """voinet argv in a fresh interpreter on this tree's src, os.environ updated by env.
-
-    A key that env maps to None is unset.
-    """
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    full = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    full.update(env or {})
-    full = {key: value for key, value in full.items() if value is not None}
-    return subprocess.run([sys.executable, "-m", "voinet.cli", *argv], env=full, **kwargs)
-
-
-def test_files_are_read_and_written_as_utf8_under_the_c_locale(tmp_path):
-    rec, rcv = schedule_files(tmp_path, [], [{"id": "ü", "distance": 50.0, "scenario": "urban"}])
-    record = json.dumps(base_record("café", 10.0), ensure_ascii=False)  # raw UTF-8, not \u00e9
-    Path(rec).write_text(record + "\n", encoding="utf-8")
-    out_path = tmp_path / "decisions.csv"
-    for out in (["--out", str(out_path)], []):  # the CSV to a file, then to stdout
-        run = run_process(
-            ["schedule", "--records", rec, "--receivers", rcv, "--profile", "safety",
-             "--threshold", "0.5", "--now", "0", *out],
-            env=C_LOCALE, capture_output=True,
-        )
-        assert (run.returncode, run.stderr) == (0, b"")
-        rows = (out_path.read_bytes() if out else run.stdout).splitlines()
-        assert rows[1].startswith("1,café,ü,".encode("utf-8")) and rows[1].endswith(b",transmit")
-    # The file system encoding is ASCII here, so open() cannot name a sweep's "café.csv".
-    spec = {"name": "café", "variable": "distance", "start": 0, "stop": 100, "step": 50,
-            "series": [{"label": "p", "attribute": "proximity", "scenario": "urban"}]}
-    (tmp_path / "spec.json").write_text(json.dumps(spec, ensure_ascii=False), encoding="utf-8")
-    run = run_process(["sweep", "--spec", "spec.json"], env=C_LOCALE, cwd=tmp_path, capture_output=True)
-    assert (run.returncode, run.stdout) == (1, b"")
-    assert run.stderr == (b"error: 'caf\\xe9.csv': 'ascii' codec can't encode character '\\xe9' "
-                          b"in position 3: ordinal not in range(128)\n")
-    assert not any(path.suffix == ".csv" and path != out_path for path in tmp_path.iterdir())
-
-
 def test_an_output_path_that_open_rejects_is_named(capsys, tmp_path, monkeypatch):
     # open() rejects a null byte with a ValueError that names no file.
     monkeypatch.chdir(tmp_path)
     spec = {"name": "a\u0000b", "variable": "distance", "start": 0, "stop": 100, "step": 50,
             "series": [{"label": "p", "attribute": "proximity", "scenario": "urban"}]}
-    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    (tmp_path / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
     code, out, err = run_cli(capsys, "sweep", "--spec", "spec.json")
     assert (code, out, err) == (1, "", "error: 'a\\x00b.csv': embedded null byte\n")
     assert [path.name for path in tmp_path.iterdir()] == ["spec.json"]
-
-
-def test_stdout_does_not_depend_on_the_locale(tmp_path):
-    # Every command writes its stdout, and its files, as UTF-8.
-    matrix = {"labels": ["café", "b"], "matrix": [[1, 2], [0.5, 1]]}
-    (tmp_path / "m.json").write_text(json.dumps(matrix, ensure_ascii=False), encoding="utf-8")
-    spec = {"name": "s", "variable": "distance", "start": 0, "stop": 100, "step": 50,
-            "series": [{"label": "prox·ü", "attribute": "proximity", "scenario": "urban"}]}
-    (tmp_path / "spec.json").write_text(json.dumps(spec, ensure_ascii=False), encoding="utf-8")
-    for argv, shows in (
-        (["presets"], b"fig2a: 2 series over "),
-        (["weights", "--profile", "safety"], b"acceptable: yes\n"),
-        (["weights", "--matrix", "m.json"], "weights: café=0.666667 b=0.333333\n".encode("utf-8")),
-        (["assess", "--profile", "safety", "--distance", "5"], b"overall="),
-        (["sweep", "--spec", "spec.json"], b"wrote 3 rows x 1 series to s.csv\n"),
-    ):
-        runs = []
-        for env in (C_LOCALE, {"LC_ALL": "C.UTF-8"}):
-            run = run_process(argv, env=env, cwd=tmp_path, capture_output=True)
-            csv = (tmp_path / "s.csv").read_bytes() if argv[0] == "sweep" else None
-            runs.append((run.returncode, run.stdout, run.stderr, csv))
-        assert runs[0] == runs[1], argv
-        code, stdout, stderr, _ = runs[0]
-        assert (code, stderr) == (0, b"") and shows in stdout, argv
-    assert "x,prox·ü\n".encode("utf-8") in (tmp_path / "s.csv").read_bytes()
-
-
-def test_text_a_caller_printed_before_main_comes_first():
-    # A block-buffered pipe: the caller's text waits in sys.stdout while main writes bytes.
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = src
-    code = "print('caller'); from voinet.cli import main; main(['presets'])"
-    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, check=True)
-    assert run.stdout.startswith(b"caller\nfig2a: ")
-
-
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("unbuffered", [False, True])
-def test_output_that_cannot_be_written_exits_1_and_names_its_sink(tmp_path, unbuffered):
-    # A real process: with buffered stdout the last write happens in the flush at exit.
-    rec, rcv = schedule_files(
-        tmp_path, [base_record("r", 10.0)], [{"id": "a", "distance": 50.0, "scenario": "urban"}],
-    )
-    env = {"PYTHONUNBUFFERED": "1" if unbuffered else None}
-    schedule = ["schedule", "--records", rec, "--receivers", rcv, "--profile", "safety",
-                "--threshold", "0.5"]
-    commands = [  # help too: argparse's own print_help swallows the error on Python 3.11+
-        ["--help"], ["sweep", "--help"], ["presets"], ["weights", "--profile", "safety"],
-        ["assess", "--profile", "safety", "--distance", "5"],
-        ["sweep", "--figure", "fig3a", "--out", str(tmp_path / "fig3a.csv")], schedule,
-    ]
-    full = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
-    broken = f"[Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}"
-    read_end, pipe = os.pipe()
-    os.close(read_end)  # before any child starts, so every write to the pipe fails
-    with open("/dev/full", "wb") as dev_full:
-        cases = [(argv, dev_full, f"<stdout>: {full}") for argv in commands]
-        cases += [(argv, pipe, f"<stdout>: {broken}") for argv in commands]
-        cases += [([*argv, "--out", "/dev/full"], subprocess.PIPE, f"{full}: '/dev/full'")
-                  for argv in (["sweep", "--figure", "fig3a"], schedule)]
-        try:
-            for argv, stdout, message in cases:
-                run = run_process(argv, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True)
-                assert (run.returncode, run.stderr) == (1, f"error: {message}\n"), argv
-        finally:
-            os.close(pipe)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/mem"), reason="needs /proc/self/mem")
@@ -905,7 +763,7 @@ def test_a_bad_byte_has_one_line_and_column_whatever_the_line_ends(capsys, tmp_p
     # is not UTF-8; LF, CRLF and CR all count it at the same line and column.
     other, records = tmp_path / "other.json", tmp_path / "records.jsonl"
     receivers = tmp_path / "receivers.jsonl"
-    receivers.write_text(json.dumps({"id": "a", "distance": 1.0, "scenario": "urban"}) + "\n")
+    write_jsonl(receivers, [{"id": "a", "distance": 1.0, "scenario": "urban"}])
     for path, lines, args, column in (
         (other, [b'{"profiles":', b' {"p":', b'  {"w\xff": 1}}}'],
          ("assess", "--config", str(other), "--profile", "safety", "--distance", "1"), 6),
@@ -924,7 +782,7 @@ def test_a_bad_byte_has_one_line_and_column_whatever_the_line_ends(capsys, tmp_p
 
 def test_a_records_file_reports_its_first_bad_line_first(capsys, tmp_path):
     records, receivers = tmp_path / "records.jsonl", tmp_path / "receivers.jsonl"
-    receivers.write_text(json.dumps({"id": "a", "distance": 1.0, "scenario": "urban"}) + "\n")
+    write_jsonl(receivers, [{"id": "a", "distance": 1.0, "scenario": "urban"}])
     schedule = ("schedule", "--records", str(records), "--receivers", str(receivers),
                 "--profile", "safety", "--threshold", "0.5")
     for data, where in (
@@ -940,7 +798,8 @@ def test_a_records_file_reports_its_first_bad_line_first(capsys, tmp_path):
 
 def test_sensor_whose_quality_scale_underflows_is_located(capsys, tmp_path):
     config = tmp_path / "c.json"
-    config.write_text(json.dumps({"sensors": {"x": {"height": 1e-200, "resolution": 1e-200}}}))
+    sensors = {"x": {"height": 1e-200, "resolution": 1e-200}}
+    config.write_text(json.dumps({"sensors": sensors}), encoding="utf-8")
     code, out, err = run_cli(
         capsys, "assess", "--config", str(config), "--profile", "safety", "--distance", "1",
         "--sensor", "x",
@@ -958,11 +817,12 @@ def test_sweep_obs_grid_too_fine_to_count_leaves_the_half_distance(capsys, tmp_p
     csvs = []
     for obs_grid in (None, 1e-320):
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps(dict(spec, obs_grid=obs_grid)))
+        path.write_text(json.dumps(dict(spec, obs_grid=obs_grid)), encoding="utf-8")
         out_path = tmp_path / "out.csv"
         code, _, err = run_cli(capsys, "sweep", "--spec", str(path), "--out", str(out_path))
         assert (code, err) == (0, "")
-        csvs.append([l for l in out_path.read_text().splitlines() if not l.startswith("# obs-grid")])
+        lines = out_path.read_text(encoding="utf-8").splitlines()
+        csvs.append([l for l in lines if not l.startswith("# obs-grid")])
     assert csvs[0] == csvs[1]
 
 
@@ -997,7 +857,7 @@ def test_text_the_csvs_print_is_checked(capsys, tmp_path):
     assert err == f'error: {rec}:1: field \'id\' must not hold a lone surrogate, got "\\ud800"\n'
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"profiles": {"a\nb": {"weights": {
-        "timeliness": 1, "proximity": 0, "quality": 0}}}}))
+        "timeliness": 1, "proximity": 0, "quality": 0}}}}), encoding="utf-8")
     series = {"label": "s", "profile": "safety", "scenario": "urban", "temporal": "variable",
               "sensor": "medium", "aoi": 0.1}
     spec = {"variable": "distance", "start": 0, "stop": 100, "step": 50, "series": [series]}
@@ -1008,7 +868,7 @@ def test_text_the_csvs_print_is_checked(capsys, tmp_path):
         ({"series": [dict(series, profile="a\nb")]},
          'series[0]: field \'profile\' must not hold a line break, got "a\\nb"'),
     ):
-        path.write_text(json.dumps(dict(spec, **change)))
+        path.write_text(json.dumps(dict(spec, **change)), encoding="utf-8")
         code, out, err = run_cli(
             capsys, "sweep", "--spec", str(path), "--config", str(config), "--out", str(out_path),
         )
@@ -1023,7 +883,6 @@ def test_presets_listing(capsys):
     assert len(lines) == 10
     assert lines[0].startswith("fig2a:")
     assert lines[-1].startswith("fig6:")
-
 
 
 # Help and usage-error runs, with their exit codes, as data/cli_help.txt pins them.

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from conftest import NOT_FINITE_NUMBERS
+from conftest import NOT_FINITE_NUMBERS, write_jsonl
 from voinet import config as cfgmod
 from voinet import voi
 
@@ -136,10 +136,10 @@ def test_builtin_names_can_be_overridden():
 
 def test_load_config_rejects_bad_documents(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
+    path.write_text("{not json", encoding="utf-8")
     with pytest.raises(ValueError, match="invalid JSON"):
         cfgmod.load_config(str(path))
-    path.write_text("[1, 2]")
+    path.write_text("[1, 2]", encoding="utf-8")
     with pytest.raises(ValueError, match="JSON object"):
         cfgmod.load_config(str(path))
     # CRLF and CR read as LF, so json counts lines and chars as in a file written with LF.
@@ -164,7 +164,7 @@ def test_load_config_rejects_bad_documents(tmp_path):
             ({"profiles": {"p": {"weights": {"timeliness": bad, "proximity": 0.5, "quality": 0.5}}}},
              "profile 'p': field 'timeliness' must be a finite number"),
         ):
-            path.write_text(json.dumps(doc))
+            path.write_text(json.dumps(doc), encoding="utf-8")
             with pytest.raises(ValueError) as info:
                 cfgmod.load_config(str(path))
             assert str(info.value).startswith(f"{path}: {message}")
@@ -193,19 +193,15 @@ def test_load_config_rejects_bad_documents(tmp_path):
          "scenario 's': safety distance must be finite, got inf"),
         ({"profiles": {"p": 5}}, "profile 'p' must be an object"),
     ):
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(ValueError) as info:
             cfgmod.load_config(str(path))
         assert str(info.value) == f"{path}: {message}"
 
 
-def write_lines(path, objs):
-    path.write_text("\n".join(json.dumps(o) for o in objs) + "\n")
-
-
 def test_load_records(tmp_path):
     path = tmp_path / "records.jsonl"
-    write_lines(
+    write_jsonl(
         path,
         [
             {"id": "r1", "source": "v1", "t0": 0.0, "d_o": 50.0, "temporal": "variable", "sensor": "medium"},
@@ -224,23 +220,24 @@ def test_load_records(tmp_path):
 def test_load_records_error_reporting(tmp_path):
     cfg = cfgmod.default_config()
     path = tmp_path / "records.jsonl"
-    path.write_text('{"id": "r1"}\n')
+    path.write_text('{"id": "r1"}\n', encoding="utf-8")
     with pytest.raises(ValueError, match=r"records.jsonl:1: missing field 'source'"):
         cfgmod.load_records(str(path), cfg)
-    path.write_text('\n{"id": "r1", "source": "v", "t0": 0, "d_o": 1, "temporal": "nope", "sensor": "medium"}\n')
+    record = {"id": "r1", "source": "v", "t0": 0, "d_o": 1, "temporal": "nope", "sensor": "medium"}
+    path.write_text("\n" + json.dumps(record) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r":2: unknown temporal class 'nope'"):
         cfgmod.load_records(str(path), cfg)
-    path.write_text('{"id": "r1", "source": "v", "t0": 0, "d_o": 1, "temporal": 1, "sensor": "8k"}\n')
+    write_jsonl(path, [dict(record, temporal=1, sensor="8k")])
     with pytest.raises(ValueError, match="unknown sensor '8k'"):
         cfgmod.load_records(str(path), cfg)
-    path.write_text("{oops\n")
+    path.write_text("{oops\n", encoding="utf-8")
     with pytest.raises(ValueError, match=":1: invalid JSON"):
         cfgmod.load_records(str(path), cfg)
     for bad in NOT_FINITE_NUMBERS:
         # A string temporal names a class, so only non-strings reach the number check.
         for field in ("t0", "d_o") + (() if isinstance(bad, str) else ("temporal",)):
             record = {"id": "r1", "source": "v", "t0": 0, "d_o": 1, "temporal": 1, "sensor": "medium"}
-            path.write_text("\n" + json.dumps(dict(record, **{field: bad})) + "\n")
+            path.write_text("\n" + json.dumps(dict(record, **{field: bad})) + "\n", encoding="utf-8")
             with pytest.raises(ValueError) as info:
                 cfgmod.load_records(str(path), cfg)
             assert str(info.value) == (
@@ -261,7 +258,7 @@ def test_load_records_error_reporting(tmp_path):
         ("source", None, "field 'source' must be a JSON string, got null"),
         ("sensor", 3, "field 'sensor' must be a JSON string, got 3"),
     ):
-        path.write_text("\n" + json.dumps(dict(record, **{field: value})) + "\n")
+        path.write_text("\n" + json.dumps(dict(record, **{field: value})) + "\n", encoding="utf-8")
         with pytest.raises(ValueError) as info:
             cfgmod.load_records(str(path), cfg)
         assert str(info.value) == f"{path}:2: {message}"
@@ -280,7 +277,7 @@ def test_load_records_error_reporting(tmp_path):
         ([ok, dict(ok, id="r1")], "2: duplicate record id 'r1' (first on line 1)"),
         ([ok, dict(ok, id="r2"), dict(ok, id="r1")], "3: duplicate record id 'r1' (first on line 1)"),
     ):
-        write_lines(path, lines)
+        write_jsonl(path, lines)
         with pytest.raises(ValueError) as info:
             cfgmod.load_records(str(path), cfg)
         assert str(info.value) == f"{path}:{message}"
@@ -307,7 +304,7 @@ def test_load_records_error_reporting(tmp_path):
         with pytest.raises(ValueError) as info:
             cfgmod.load_records(str(path), cfg)
         assert str(info.value).startswith(f"{path}{message}")
-    path.write_text(f" \t{line}\r\n\n\x0c\n")  # JSON whitespace around a line; blank lines
+    path.write_text(f" \t{line}\r\n\n\x0c\n", encoding="utf-8")  # JSON whitespace around a line; blank lines
     assert [r.id for r in cfgmod.load_records(str(path), cfg)] == ["r1"]
     receivers = tmp_path / "receivers.jsonl"
     for field, value, message in (
@@ -315,12 +312,12 @@ def test_load_records_error_reporting(tmp_path):
         ("id", None, "field 'id' must be a JSON string, got null"),
         ("scenario", 1, "field 'scenario' must be a JSON string, got 1"),
     ):
-        receivers.write_text(json.dumps({"id": "a", "distance": 1, "scenario": "urban", field: value}) + "\n")
+        write_jsonl(receivers, [{"id": "a", "distance": 1, "scenario": "urban", field: value}])
         with pytest.raises(ValueError) as info:
             cfgmod.load_receivers(str(receivers), cfg)
         assert str(info.value) == f"{receivers}:1: {message}"
     receiver = {"id": "a", "distance": 1, "scenario": "urban"}
-    write_lines(receivers, [receiver, dict(receiver, distance=2), dict(receiver, id="b")])
+    write_jsonl(receivers, [receiver, dict(receiver, distance=2), dict(receiver, id="b")])
     with pytest.raises(ValueError) as info:
         cfgmod.load_receivers(str(receivers), cfg)
     assert str(info.value) == f"{receivers}:2: duplicate receiver id 'a' (first on line 1)"
@@ -330,7 +327,7 @@ def test_load_records_error_reporting(tmp_path):
         for load, target, obj in (
             (cfgmod.load_records, path, record), (cfgmod.load_receivers, receivers, receiver)
         ):
-            write_lines(target, [dict(obj, id="ok"), dict(obj, id=bad)])
+            write_jsonl(target, [dict(obj, id="ok"), dict(obj, id=bad)])
             with pytest.raises(ValueError) as info:
                 load(str(target), cfg)
             assert str(info.value) == f"{target}:2: {why}"
@@ -343,10 +340,10 @@ def test_records_and_receivers_resolve_names_in_the_loaded_config(tmp_path):
     assert cfg.scenarios["urban"] != voi.SCENARIOS["urban"]
     records = tmp_path / "records.jsonl"
     record = {"source": "v", "t0": 0, "d_o": 1, "temporal": "static", "sensor": "medium"}
-    write_lines(records, [dict(record, id="r1"), dict(record, id="r2", temporal=0.5, mode="nonprocessed")])
+    write_jsonl(records, [dict(record, id="r1"), dict(record, id="r2", temporal=0.5, mode="nonprocessed")])
     assert [r.sensor for r in cfgmod.load_records(str(records), cfg)] == [cfg.sensors["medium"]] * 2
     receivers = tmp_path / "receivers.jsonl"
-    write_lines(receivers, [{"id": "a", "distance": 1, "scenario": "urban"}])
+    write_jsonl(receivers, [{"id": "a", "distance": 1, "scenario": "urban"}])
     assert [r.scenario for r in cfgmod.load_receivers(str(receivers), cfg)] == [cfg.scenarios["urban"]]
 
 
@@ -383,7 +380,7 @@ def test_a_leading_byte_order_mark_is_dropped(tmp_path):
 
 def test_load_receivers(tmp_path):
     path = tmp_path / "receivers.jsonl"
-    write_lines(
+    write_jsonl(
         path,
         [
             {"id": "a", "distance": 100.0, "scenario": "urban"},
@@ -393,7 +390,7 @@ def test_load_receivers(tmp_path):
     receivers = cfgmod.load_receivers(str(path), cfgmod.default_config())
     assert [r.receiver_id for r in receivers] == ["a", "b"]
     assert receivers[1].scenario == voi.HIGHWAY
-    path.write_text('{"id": "a", "distance": 1.0, "scenario": "sea"}\n')
+    path.write_text('{"id": "a", "distance": 1.0, "scenario": "sea"}\n', encoding="utf-8")
     with pytest.raises(ValueError, match="unknown scenario 'sea'"):
         cfgmod.load_receivers(str(path), cfgmod.default_config())
 
@@ -404,12 +401,12 @@ def test_resolve_mode_aliases(tmp_path):
                "processed": voi.PROCESSED}
     record = {"source": "v", "t0": 0, "d_o": 1, "temporal": "static", "sensor": "medium"}
     path = tmp_path / "records.jsonl"
-    write_lines(path, [dict(record, id=alias, mode=alias) for alias in aliases])
+    write_jsonl(path, [dict(record, id=alias, mode=alias) for alias in aliases])
     records = cfgmod.load_records(str(path), cfgmod.default_config())
     assert [r.mode for r in records] == list(aliases.values())
     series = {"label": "s", "attribute": "quality", "scenario": "urban", "sensor": "medium"}
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"variable": "distance", "start": 0, "stop": 1, "step": 1, "series": [
-        dict(series, label=alias, mode=alias) for alias in aliases]}))
+        dict(series, label=alias, mode=alias) for alias in aliases]}), encoding="utf-8")
     spec = cfgmod.load_sweep_spec(str(path), cfgmod.default_config())
     assert [s.mode for s in spec.series] == list(aliases.values())

@@ -3,11 +3,9 @@ import os
 import subprocess
 import sys
 import types
-from pathlib import Path
 
 import voinet
-
-SRC = Path(__file__).resolve().parent.parent / "src"
+from conftest import SRC
 
 
 def test_all_lists_every_public_name_once_and_no_modules():
@@ -25,7 +23,7 @@ def test_the_cli_imports_no_numpy():
     probe = subprocess.run(
         [sys.executable, "-c", "import sys; before = set(sys.modules); import voinet.cli; "
          "print(*sorted({'numpy', 'dataclasses', 'inspect'} & (set(sys.modules) - before)))"],
-        env=env, capture_output=True, text=True, check=True,
+        env=env, capture_output=True, encoding="utf-8", check=True,
     )
     assert probe.stdout.strip() == ""
 
@@ -35,7 +33,7 @@ def test_the_cli_imports_no_typing_in_a_clean_interpreter():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     probe = subprocess.run(
         [sys.executable, "-S", "-c", "import sys, voinet.cli; print('typing' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True,
+        env=env, capture_output=True, encoding="utf-8", check=True,
     )
     assert probe.stdout == "False\n"
 

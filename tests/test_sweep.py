@@ -108,7 +108,7 @@ def test_csv_output_format_and_determinism():
 def test_preset_csv_headers_are_frozen():
     # Every comment line and the column line of each preset's CSV: labels,
     # series descriptions, obs-grid and notes.
-    frozen = (DATA_DIR / "preset_headers.txt").read_text().splitlines()
+    frozen = (DATA_DIR / "preset_headers.txt").read_text(encoding="utf-8").splitlines()
     mine = [
         line
         for name in sweep.preset_names()
@@ -253,7 +253,7 @@ def test_logistic_params_flow_through_the_sweep():
 
 def test_preset_csvs_are_frozen():
     # sha256sum of each "voinet sweep --figure NAME" output file.
-    lines = (DATA_DIR / "preset_csv_sha256.txt").read_text().splitlines()
+    lines = (DATA_DIR / "preset_csv_sha256.txt").read_text(encoding="utf-8").splitlines()
     frozen = {name: digest for digest, name in (line.split() for line in lines)}
     mine = {
         f"{name}.csv": hashlib.sha256(
