@@ -221,16 +221,16 @@ def main(argv: list[str] | None = None) -> int:
             args = parse_args(argv)
         except SystemExit as exc:  # help, or a usage error already reported
             code = int(exc.code or 0)
-        else:  # stdout's one write: UTF-8 whatever the locale, in which argv's bytes round-trip
+        else:  # stdout's one write: UTF-8 whatever the locale
             code, text = args.func(args)
             if hasattr(sys.stdout, "buffer"):
                 sys.stdout.flush()  # text a caller printed before main goes out first
-                sys.stdout.buffer.write(text.encode("utf-8", "surrogateescape"))
+                sys.stdout.buffer.write(text.encode())
             else:  # a text-only stream, such as io.StringIO
                 sys.stdout.write(text)
         sys.stdout.flush()  # here, not at exit, so that a failed write is reported
         return code
-    except (ValueError, OSError, RuntimeError, KeyError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         if isinstance(exc, OSError) and exc.filename is None:
             # Every file voinet opens names itself (config._read, _write), so this is stdout:
             # point it at os.devnull so that the flush at exit cannot fail again, as in

@@ -9,7 +9,9 @@ were produced by this oracle before the implementation existed.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import os
 import shutil
@@ -19,6 +21,7 @@ import sysconfig
 from pathlib import Path
 
 import voinet
+from voinet.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 # Whether pytest imported voinet from this tree's src/ rather than from an install.
@@ -120,6 +123,27 @@ def schedule_files(tmp_path, records, receivers):
     write_jsonl(rec_path, records)
     write_jsonl(rcv_path, receivers)
     return str(rec_path), str(rcv_path)
+
+
+def run_main(*argv: str) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of voinet.cli.main(argv), run in this process.
+
+    stdout has a byte buffer, as the console's has, so main writes it as it
+    writes a terminal or a pipe; it must be UTF-8, and is decoded strictly.
+    """
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline=""), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    out.flush()
+    return code, out.buffer.getvalue().decode("utf-8"), err.getvalue()
+
+
+def refusal(code: int, out: str, err: str) -> str:
+    """The message of a run that refused its input: exit 1, no stdout, one stderr line, no traceback."""
+    assert (code, out) == (1, ""), (code, out, err)
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+    assert "Traceback" not in err
+    return err[len("error: "):-1]
 
 
 def voinet_command():

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from voinet import ahp, scheduler, sweep, voi
-from voinet.cli import main
 from conftest import (
     ORACLE_SAFETY_WEIGHTS,
     SAFETY_ROWS,
     TRAFFIC_ROWS,
     oracle_eigen,
+    run_main,
 )
 
 FIG3A_SAFETY = {0.0: 0.985829, 100.0: 0.523475, 300.0: 0.224267, 500.0: 0.211146}
@@ -213,11 +213,10 @@ def test_criterion_8_property_suites():
     print("criterion 8: PASS - 10000 contexts, 200 scheduler batches, 1000 random matrices")
 
 
-def test_criterion_9_cli_end_to_end(tmp_path, capsys):
+def test_criterion_9_cli_end_to_end(tmp_path):
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(["sweep", "--figure", "fig3a", "--out", str(first)]) == 0
-    assert main(["sweep", "--figure", "fig3a", "--out", str(second)]) == 0
-    capsys.readouterr()
+    assert run_main("sweep", "--figure", "fig3a", "--out", str(first))[0] == 0
+    assert run_main("sweep", "--figure", "fig3a", "--out", str(second))[0] == 0
     assert first.read_bytes() == second.read_bytes()
 
     rows = [l.split(",") for l in first.read_text(encoding="utf-8").splitlines() if not l.startswith("#")]
@@ -230,15 +229,15 @@ def test_criterion_9_cli_end_to_end(tmp_path, capsys):
     for d, want in FIG3A_TRAFFIC.items():
         assert float(by_x[d][traffic_col]) == pytest.approx(want, abs=1e-3)
 
-    assert main(["weights", "--profile", "safety"]) == 0
-    out = capsys.readouterr().out
+    code, out, _ = run_main("weights", "--profile", "safety")
+    assert code == 0
     line = next(l for l in out.splitlines() if l.startswith("weights:"))
     values = dict(part.split("=") for part in line.removeprefix("weights: ").split())
     assert float(values["timeliness"]) == pytest.approx(0.1194, abs=1e-4)
     assert float(values["proximity"]) == pytest.approx(0.7471, abs=1e-4)
     assert float(values["quality"]) == pytest.approx(0.1336, abs=1e-4)
-    assert main(["weights", "--profile", "traffic"]) == 0
-    out = capsys.readouterr().out
+    code, out, _ = run_main("weights", "--profile", "traffic")
+    assert code == 0
     line = next(l for l in out.splitlines() if l.startswith("weights:"))
     values = dict(part.split("=") for part in line.removeprefix("weights: ").split())
     assert float(values["timeliness"]) == pytest.approx(0.6554, abs=1e-4)

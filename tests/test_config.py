@@ -321,9 +321,11 @@ def test_load_records_error_reporting(tmp_path):
     with pytest.raises(ValueError) as info:
         cfgmod.load_receivers(str(receivers), cfg)
     assert str(info.value) == f"{receivers}:2: duplicate receiver id 'a' (first on line 1)"
-    # The schedule CSV prints ids unquoted, so they may not hold its delimiters.
-    for bad in ("a,b", 'a"b', "a\rb", "a\nb"):
-        why = f"field 'id' must not hold a comma, quote or line break, got {json.dumps(bad)}"
+    # The schedule CSV prints ids unquoted, so they may not hold its delimiters, nor a lone
+    # surrogate, which UTF-8 cannot encode.
+    for bad in ("a,b", 'a"b', "a\rb", "a\nb", "\ud800", "\udc80"):
+        why = "a comma, quote or line break" if bad.isascii() else "a lone surrogate"
+        why = f"field 'id' must not hold {why}, got {json.dumps(bad)}"
         for load, target, obj in (
             (cfgmod.load_records, path, record), (cfgmod.load_receivers, receivers, receiver)
         ):

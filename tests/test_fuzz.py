@@ -14,14 +14,13 @@ both exits. Every run of ``voinet.cli.main`` must do one of two things:
 - exit 1, with empty stdout, no traceback, and a one-line message on
   stderr that names an input file.
 
-Each ``@example`` pins a case that once escaped as a traceback or as an
-error that named no file.
+Each run goes through ``conftest.run_main``, whose stdout takes bytes, as
+the console's does. Each ``@example`` pins a case that once escaped as a
+traceback or as an error that named no file.
 """
 
 from __future__ import annotations
 
-import contextlib
-import io
 import json
 import random
 import re
@@ -31,7 +30,7 @@ from pathlib import Path
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from voinet.cli import main
+from conftest import refusal, run_main
 
 # The same inputs on every run, so that a pass means the same thing each time;
 # to search wider, raise max_examples and drop derandomize.
@@ -50,7 +49,8 @@ def raw(text: str) -> str:
 
 def dump(value) -> str:
     """JSON text; non-ASCII text is written raw, so a lone surrogate is not UTF-8."""
-    return _RAW_SUB.sub(lambda m: m.group(1), json.dumps(value, ensure_ascii=False))
+    # json.dumps escaped the placeholder's text as a JSON string's; the loads undoes that.
+    return _RAW_SUB.sub(lambda m: json.loads(f'"{m.group(1)}"'), json.dumps(value, ensure_ascii=False))
 
 
 def mostly(valid: st.SearchStrategy, odd: st.SearchStrategy, one_in: int = 5) -> st.SearchStrategy:
@@ -68,8 +68,8 @@ POSITIVE = st.sampled_from([0.1, 0.5, 1, 2, 10, 24.5, 100, 480, *TINY_AND_HUGE])
 NON_NEGATIVE = st.one_of(st.sampled_from([0, 0.0, -0.0]), POSITIVE)
 FINITE = st.one_of(NON_NEGATIVE, POSITIVE.map(lambda x: -x))
 # Odd text: CSV-special, line-breaking and lone-surrogate ids and names, raw
-# and as a JSON escape.
-ODD_TEXTS = st.sampled_from(["a,b", 'q"t', "x\ny", "cr\r", "\ud800", raw('"\\ud800"')])
+# and as a JSON escape; \udc80 is one that a surrogateescape encoder would write as a byte.
+ODD_TEXTS = st.sampled_from(["a,b", 'q"t', "x\ny", "cr\r", "\ud800", raw('"\\ud800"'), raw('"\\udc80"')])
 ODD_VALUE = st.one_of(st.sampled_from(NOT_NUMBERS), FINITE, ODD_TEXTS)
 # Comparison-matrix labels that a "weights:" line cannot print.
 ODD_LABELS = st.one_of(ODD_TEXTS, st.sampled_from(["a b", "\t", "a=1", "=", "", "l0", 5, None]))
@@ -250,17 +250,15 @@ def draw(*keys: str) -> st.SearchStrategy[tuple]:
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    event(f"{argv[0]} exit {code}")
-    return code, out.getvalue(), err.getvalue()
+    result = run_main(*argv)
+    event(f"{argv[0]} exit {result[0]}")
+    return result
 
 
 def check_failure(code: int, out: str, err: str, paths: list[str]) -> None:
-    assert (code, out) == (1, "")
-    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
-    assert any(path in err for path in paths), err
+    """A refusal whose message names one of paths."""
+    message = refusal(code, out, err)
+    assert any(path in message for path in paths), message
 
 
 def in_unit_range(text: str) -> bool:
@@ -282,9 +280,10 @@ def write_lines(path: Path, lines: list[str], splice=None) -> str:
 
 
 def names(config, section: str, builtins: list[str]) -> list[str]:
-    """The names a flag may give: the built-ins, then those the config adds."""
+    """The names a flag may give: the built-ins, then those the config adds, as its reader reads them."""
     if isinstance(config, dict) and isinstance(config.get(section), dict):
-        return builtins + [name for name in config[section] if name not in builtins]
+        added = [json.loads(dump(name)) for name in config[section]]
+        return builtins + [name for name in added if name not in builtins]
     return builtins
 
 
@@ -488,3 +487,7 @@ def test_weights_matrix_runs_or_fails_located(files):
         assert all(map(in_unit_range, weights)) and abs(sum(weights) - 1) < 1e-5
         assert lines[-1] == f"acceptable: {'yes' if code == 0 else 'no'}"
         assert run(argv) == (code, out, err)
+
+
+def test_a_raw_json_escape_reaches_the_reader_as_the_character_it_escapes():
+    assert json.loads(dump({"id": raw('"\\ud800"')}))["id"] == "\ud800"

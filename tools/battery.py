@@ -13,7 +13,7 @@ for byte:
 The cases: `schedule` on the benchmark's seeded fanout batch (seeds 1 and 2), every
 figure preset's CSV, `weights`, `presets`, `assess`, custom configs, specs and
 matrices, and one case per bad input. Not part of the test suite: it starts about
-110 interpreters, one after another.
+120 interpreters, one after another.
 """
 
 from __future__ import annotations
@@ -234,6 +234,16 @@ def cases() -> dict[str, tuple[list[str], dict]]:
                                  {"spec.json": json.dumps(SPEC)}),
         "sweep-out-empty": (["sweep", "--figure", "fig2a", "--out", ""], {}),
         "schedule-out-empty": schedule(jsonl(RECORD), jsonl(RECEIVER), "--out", ""),
+        # A lone surrogate, as a JSON escape, in each kind of text that stdout or a CSV prints.
+        **{f"{where}-surrogate-{ord(char):x}": case
+           for char in ("\ud800", "\udc80")
+           for where, case in (
+               ("records-id", schedule(jsonl(record(id=char)))),
+               ("receivers-id", schedule(jsonl(RECORD), jsonl(dict(RECEIVER, id=char)))),
+               ("spec-note", spec(notes=[char])),
+               ("spec-label", spec(series=[dict(SERIES, label=char)])),
+               ("matrix-label", matrix({"labels": ["a", char], "matrix": [[1, 2], [0.5, 1]]})),
+           )},
     }
     return {**good, **{f"bad-{name}": case for name, case in bad.items()}}
 
