@@ -17,7 +17,7 @@ import sys
 from . import ahp, config as cfgmod
 from .scheduler import SchedulerConfig, filter_broadcast, rank
 from .sweep import figure_preset, preset_names, run_sweep
-from .voi import BUILTIN_MATRICES, AssessmentContext, attribute_scores, temporal_from_decay
+from .voi import BUILTIN_MATRICES, BUILTIN_SOLUTIONS, AssessmentContext, attribute_scores, temporal_from_decay
 
 class _Parser(argparse.ArgumentParser):
     # argparse defaults to exit code 2; the contract reserves 2 for the
@@ -42,72 +42,67 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _command(name: str, p: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    """p, given command name's function and arguments."""
-    p.set_defaults(func=COMMANDS[name][1])
-    if name == "weights":
-        src = p.add_mutually_exclusive_group(required=True)
-        src.add_argument("--profile", help="built-in comparison matrix (safety, traffic)")
-        src.add_argument("--matrix", help="JSON file with a pairwise comparison matrix")
-    elif name == "assess":
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--profile", required=True)
-        p.add_argument("--scenario", default="urban")
-        p.add_argument("--sensor", default="medium")
-        p.add_argument("--distance", type=_finite_float, required=True)
-        p.add_argument("--aoi", type=_finite_float, default=0.0)
-        p.add_argument("--ptd", type=_finite_float, default=1.0, help="temporal decay rate (1/s)")
-        p.add_argument("--mode", choices=sorted(cfgmod.MODE_ALIASES), default="processed")
-        p.add_argument("--obs-distance", type=_finite_float, default=None)
-    elif name == "sweep":
-        src = p.add_mutually_exclusive_group(required=True)
-        src.add_argument("--figure", help="preset name (see the presets command)")
-        src.add_argument("--spec", help="JSON sweep spec file")
-        p.add_argument("--config", help="JSON config file (names used by --spec)")
-        p.add_argument("--out", help="output CSV path (default: <name>.csv)")
-    elif name == "schedule":
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--records", required=True, help="JSON-lines record file")
-        p.add_argument("--receivers", required=True, help="JSON-lines receiver file")
-        p.add_argument("--profile", required=True)
-        p.add_argument("--threshold", type=_finite_float, default=None)
-        p.add_argument(
-            "--now", type=_finite_float, default=None, help="evaluation instant (default: latest t0)"
-        )
-        p.add_argument("--out", help="output CSV path (default: stdout)")
-    return p
+_OPTIONS = {  # command: (n, {flag: add_argument keywords}), whose first n flags are a required either-or group
+    "weights": (2, {"--profile": dict(help="built-in comparison matrix (safety, traffic)"),
+                    "--matrix": dict(help="JSON file with a pairwise comparison matrix")}),
+    "assess": (0, {"--config": dict(help="JSON config file"),
+                   "--profile": dict(required=True),
+                   "--scenario": dict(default="urban"),
+                   "--sensor": dict(default="medium"),
+                   "--distance": dict(type=_finite_float, required=True),
+                   "--aoi": dict(type=_finite_float, default=0.0),
+                   "--ptd": dict(type=_finite_float, default=1.0, help="temporal decay rate (1/s)"),
+                   "--mode": dict(choices=sorted(cfgmod.MODE_ALIASES), default="processed"),
+                   "--obs-distance": dict(type=_finite_float)}),
+    "sweep": (2, {"--figure": dict(help="preset name (see the presets command)"),
+                  "--spec": dict(help="JSON sweep spec file"),
+                  "--config": dict(help="JSON config file (names used by --spec)"),
+                  "--out": dict(help="output CSV path (default: <name>.csv)")}),
+    "schedule": (0, {"--config": dict(help="JSON config file"),
+                     "--records": dict(required=True, help="JSON-lines record file"),
+                     "--receivers": dict(required=True, help="JSON-lines receiver file"),
+                     "--profile": dict(required=True),
+                     "--threshold": dict(type=_finite_float),
+                     "--now": dict(type=_finite_float, help="evaluation instant (default: latest t0)"),
+                     "--out": dict(help="output CSV path (default: stdout)")}),
+    "presets": (0, {}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The full command-line parser: every command, with its arguments and help."""
     parser = _Parser(prog="voinet", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, _) in COMMANDS.items():
-        _command(name, sub.add_parser(name, help=summary))
+    for name, (summary, func) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        either, options = _OPTIONS[name]
+        group = p.add_mutually_exclusive_group(required=True) if either else p
+        for i, (flag, keywords) in enumerate(options.items()):
+            (group if i < either else p).add_argument(flag, **keywords)
     return parser
 
 
 def _write(path: str, text: str) -> None:
-    """text written as UTF-8 to the file at path; an OSError names path, as open's own do."""
+    """text written as UTF-8 bytes to the file at path, as main writes stdout; an OSError names path."""
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        data = text.encode()  # before open: text that cannot be encoded leaves no file
+        with open(path, "wb") as fh:
+            fh.write(data)
     except OSError as exc:
         exc.filename = exc.filename or path  # a failed write or close names no file
         raise
-    except ValueError as exc:  # path holds a null byte, or what the file system encoding cannot
+    except ValueError as exc:  # a surrogate in text; in path, a null byte or what the filesystem cannot encode
         raise ValueError(f"{path!r}: {exc}") from None
 
 
 def cmd_weights(args: argparse.Namespace) -> tuple[int, str]:
     if args.profile is not None:
         matrix = cfgmod.resolve_name(BUILTIN_MATRICES, args.profile, "comparison matrix")
-        source = args.profile
+        source, solution = args.profile, BUILTIN_SOLUTIONS[args.profile]
     else:
         matrix = cfgmod.load_matrix(args.matrix)
-        source = cfgmod.shown(args.matrix)
-
-    solution = ahp.principal_eigenvector(matrix)
+        source, solution = cfgmod.shown(args.matrix), ahp.principal_eigenvector(matrix)
     report = cfgmod._at(source, ahp.consistency, solution)  # no random index for the size
     pairs = " ".join(f"{label}={w:.6f}" for label, w in zip(matrix.labels, solution.weights))
     return (0 if report.acceptable else 2), (
@@ -201,17 +196,33 @@ COMMANDS = {  # name: (summary, function)
 }
 
 
-def parse_args(argv: list[str]) -> argparse.Namespace:
-    """argv, parsed as the full tree parses it, by the named command's parser alone.
+def _parse_plain(name: str, argv: list[str]) -> argparse.Namespace | None:
+    """argv, the arguments after command name, as argparse parses them, when argv is flags of name, each once
+    and each followed by a value that argparse takes as it stands and accepts; else None, for argparse."""
+    either, options = _OPTIONS[name]
+    given = dict(zip(argv[::2], argv[1::2]))
+    if (len(given) * 2 != len(argv) or not given.keys() <= options.keys()
+            or any(value[:1] == "-" for value in given.values())
+            or either and len(given.keys() & list(options)[:either]) != 1
+            or any(keywords.get("required") and flag not in given for flag, keywords in options.items())):
+        return None
+    args = argparse.Namespace(func=COMMANDS[name][1])
+    for flag, keywords in options.items():
+        try:
+            value = keywords.get("type", str)(given[flag]) if flag in given else keywords.get("default")
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if value not in keywords.get("choices", [value]):  # a default outside choices goes to argparse
+            return None
+        setattr(args, flag[2:].replace("-", "_"), value)
+    return args
 
-    The full tree is built only when argv names no command, or when the command
-    leaves arguments over: it then prints argparse's top-level help, usage or error.
-    """
-    if argv and argv[0] in COMMANDS:
-        args, extra = _command(argv[0], _Parser(prog=f"voinet {argv[0]}")).parse_known_args(argv[1:])
-        if not extra:
-            return args
-    return build_parser().parse_args(argv)
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv, parsed as the full tree parses it; the tree is built only when _parse_plain leaves argv to it:
+    for help, a usage error, or a form such as an abbreviated flag or a value that starts with "-"."""
+    args = argv and argv[0] in COMMANDS and _parse_plain(argv[0], argv[1:])
+    return args or build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

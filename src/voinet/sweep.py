@@ -210,13 +210,15 @@ def _observation_distances(spec: SweepSpec, series: SweepSeries, distances: Sequ
 
 
 def _score_pass(
-    spec: SweepSpec, series: SweepSeries, xs: tuple[float, ...], params: LogisticParams
+    spec: SweepSpec, series: SweepSeries, xs: tuple[float, ...], params: LogisticParams, proximity: dict
 ) -> tuple[list[float], ...]:
     """The scores of the series' context at each grid point, one list per attribute.
 
     An overall series gets timeliness, proximity and quality, for each profile to
     weigh; a conditional series gets its one attribute. Either scores quality at
-    _observation_distances. An input the sweep holds fixed is scored once, and repeated.
+    _observation_distances, once per run of equal adjacent ones. An input the sweep
+    holds fixed is scored once, and repeated. proximity, shared by the whole sweep,
+    maps (scenario, the fixed distance of an aoi sweep or None) to a proximity list.
     """
     attribute, scenario = series.attribute, series.scenario
     fixed = [series.aoi if spec.variable == "distance" else series.distance]  # scored once
@@ -225,27 +227,34 @@ def _score_pass(
     if attribute in ("overall", "timeliness"):
         scores.append([timeliness_voi(0.0 if aoi is None else aoi, series.temporal) for aoi in aois])
     if attribute in ("overall", "proximity"):
-        scores.append([proximity_voi(d, scenario.safety_distance, params) for d in distances])
+        key = (scenario, series.distance if spec.variable == "aoi" else None)
+        if key not in proximity:
+            proximity[key] = [proximity_voi(d, scenario.safety_distance, params) for d in distances]
+        scores.append(proximity[key])
     if attribute in ("overall", "quality"):
-        obs = _observation_distances(spec, series, distances)
-        scores.append([quality_voi(d, series.sensor, scenario, series.mode) for d in obs])
+        quality, last = [], None
+        for d in _observation_distances(spec, series, distances):
+            if d != last:  # each run of equal adjacent distances is scored once
+                score, last = quality_voi(d, series.sensor, scenario, series.mode), d
+            quality.append(score)
+        scores.append(quality)
     return tuple(score * len(xs) if len(score) == 1 else score for score in scores)
 
 
 def run_sweep(spec: SweepSpec, params: LogisticParams = DEFAULT_LOGISTIC) -> CurveSet:
     """Evaluate every series of the spec over its grid.
 
-    Series that differ only in label and profile share one scoring pass,
-    and an input the sweep holds fixed is scored once.
+    Series that differ only in label and profile share one scoring pass, keyed by
+    every other field; series on one scenario share one proximity list (see _score_pass).
     """
     xs = spec.grid()
-    passes: dict[tuple, tuple[list[float], ...]] = {}
+    passes, proximity = {}, {}  # context: its scores; (scenario, fixed distance): proximity list
     curves = []
     for series in spec.series:
         context = series[2:]  # every field but label and profile
         scores = passes.get(context)
         if scores is None:
-            scores = passes[context] = _score_pass(spec, series, xs, params)
+            scores = passes[context] = _score_pass(spec, series, xs, params, proximity)
         if series.attribute == "overall":
             curves.append(tuple(map(series.profile.overall, *scores)))
         else:

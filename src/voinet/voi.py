@@ -251,7 +251,9 @@ def profile_from_matrix(name: str, matrix: ahp.ComparisonMatrix) -> ApplicationP
     return ApplicationProfile(name, **dict(zip(matrix.labels, solution.weights)))
 
 
-PROFILES = {name: profile_from_matrix(name, m) for name, m in BUILTIN_MATRICES.items()}
+# Solved once, at import: PROFILES holds their weights, and `weights --profile` prints them.
+BUILTIN_SOLUTIONS = {name: ahp.principal_eigenvector(m) for name, m in BUILTIN_MATRICES.items()}
+PROFILES = {name: ApplicationProfile(name, *s.weights) for name, s in BUILTIN_SOLUTIONS.items()}
 SAFETY, TRAFFIC = PROFILES["safety"], PROFILES["traffic"]
 
 

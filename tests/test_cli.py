@@ -8,11 +8,13 @@ import random
 import sys
 
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     DATA_DIR, NOT_FINITE_NUMBERS, base_record, refusal, run_main, schedule_files, write_jsonl,
 )
-from voinet import cli
+from voinet import ahp, cli
 from voinet.cli import main
 
 
@@ -39,6 +41,30 @@ def test_weights_builtin_safety():
     assert weights["quality"] == pytest.approx(0.1336, abs=1e-4)
     assert float(stat_from(out, "lambda_max")) == pytest.approx(3.0126, abs=1e-3)
     assert stat_from(out, "acceptable") == "yes"
+
+
+def test_weights_of_a_builtin_profile_print_the_solution_solved_at_import(monkeypatch):
+    def unsolved(matrix):
+        raise AssertionError("solved again")
+    monkeypatch.setattr(ahp, "principal_eigenvector", unsolved)
+    assert run_main("weights", "--profile", "safety") == (0, (
+        "matrix: safety (3x3)\n"
+        "weights: timeliness=0.119389 proximity=0.747053 quality=0.133559\n"
+        "lambda_max: 3.012592\n"
+        "consistency_index: 0.006296\n"
+        "random_index: 0.58\n"
+        "consistency_ratio: 0.010856\n"
+        "acceptable: yes\n"
+    ), "")
+    assert run_main("weights", "--profile", "traffic") == (0, (
+        "matrix: traffic (3x3)\n"
+        "weights: timeliness=0.655355 proximity=0.054900 quality=0.289744\n"
+        "lambda_max: 3.080300\n"
+        "consistency_index: 0.040150\n"
+        "random_index: 0.58\n"
+        "consistency_ratio: 0.069224\n"
+        "acceptable: yes\n"
+    ), "")
 
 
 def test_weights_from_matrix_file(tmp_path):
@@ -426,19 +452,23 @@ def test_schedule_out_file_and_config_threshold(tmp_path):
     config.write_text(json.dumps({"defaults": {"threshold": 0.9}}), encoding="utf-8")
     rec, rcv = schedule_files(
         tmp_path,
-        [base_record("r1", 300.0)],
+        [base_record("r1", 300.0), base_record("café", 400.0)],
         [{"id": "a", "distance": 150.0, "scenario": "urban"}],
     )
     out_path = tmp_path / "decisions.csv"
-    code, out, _ = run_main(
-        "schedule", "--config", str(config), "--records", rec, "--receivers", rcv, "--profile", "safety",
-        "--now", "0.1", "--out", str(out_path),
-    )
+    schedule = ("schedule", "--config", str(config), "--records", rec, "--receivers", rcv,
+                "--profile", "safety", "--now", "0.1")
+    code, out, _ = run_main(*schedule, "--out", str(out_path))
     assert code == 0
-    assert out.strip() == "transmit=0 cancelled=1"
+    assert out.strip() == "transmit=0 cancelled=2"
     content = out_path.read_text(encoding="utf-8").splitlines()
     assert content[0] == "rank,record_id,best_receiver,best_value,decision"
     assert content[1].endswith(",cancel")
+    # the file holds, byte for byte, the CSV body that the same run prints without --out
+    code, printed, _ = run_main(*schedule)
+    assert code == 0 and printed.endswith("\n" + out)
+    assert out_path.read_bytes() == printed.removesuffix(out).encode("utf-8")
+    assert ",café,a," in printed
 
 
 def test_schedule_default_now_is_the_latest_t0(tmp_path):
@@ -807,7 +837,7 @@ HELP_CASES = (
     ("sweep", "--figure", "fig3a", "extra"),
     ("schedule", "--records", "x"),
 )
-# Not pinned: each must parse on a command's own parser as on the full tree.
+# Not pinned: parse_args must parse each as the full tree does.
 PARSE_CASES = (
     ("sweep", "--fig", "fig3a", "--out", "X"),  # an abbreviation
     ("weights", "--matrix", "m.json"),
@@ -847,7 +877,7 @@ def test_help_and_usage_text_is_pinned(monkeypatch):
 
 
 def test_each_command_prints_the_help_and_usage_of_the_full_parser(monkeypatch, tmp_path):
-    # On any Python: a command's own parser prints, exits with and parses what the full tree does.
+    # On any Python: parse_args prints, exits with and parses what the full tree does.
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.chdir(tmp_path)
 
@@ -867,6 +897,79 @@ def test_each_command_prints_the_help_and_usage_of_the_full_parser(monkeypatch, 
     assert [args["func"] for args in mine[1]] == [
         cli.cmd_sweep, cli.cmd_weights, cli.cmd_assess, cli.cmd_schedule, cli.cmd_presets
     ]
+
+
+def test_a_plain_command_line_builds_no_argparse_parser(monkeypatch):
+    # Each command's usual line, as the benchmark workloads write them, is parsed without argparse.
+    argvs = (
+        ["sweep", "--figure", "fig3a", "--out", "fig3a.csv"],
+        ["weights", "--profile", "safety"],
+        ["weights", "--matrix", "m.json"],
+        ["assess", "--profile", "traffic", "--distance", "5", "--mode", "nonprocessed", "--obs-distance", "2"],
+        ["schedule", "--records", "r", "--receivers", "v", "--profile", "safety",
+         "--threshold", "0.8", "--now", "10.0"],
+        ["presets"],
+    )
+    expected = [vars(cli.build_parser().parse_args(argv)) for argv in argvs]
+
+    def unbuilt(**kwargs):
+        raise AssertionError("an argparse parser was built")
+
+    monkeypatch.setattr(cli, "_Parser", unbuilt)
+    for argv, full in zip(argvs, expected):
+        full.pop("command")
+        assert vars(cli.parse_args(argv)) == full, argv
+
+
+# Tokens that only argparse reads, or refuses, in a flag's place or in a value's.
+ODD_FLAGS = ("--", "-h", "--help", "--fig", "--out=x", "--prof", "x", "")
+ODD_VALUES = ("-5", "-", "nan", "1e400", "ten", "bogus", "--figure", "")
+
+
+@st.composite
+def command_lines(draw):
+    """A command, each required option and some others with a value, and now and then an odd token."""
+    name = draw(st.sampled_from(list(cli.COMMANDS)))
+    either, options = cli._OPTIONS[name]
+    flags = [flag for flag in options if options[flag].get("required") or draw(st.integers(0, 2)) == 0]
+    if either and draw(st.integers(0, 3)):  # mostly one flag of the either-or group
+        flags = [flag for flag in flags if flag not in list(options)[:either]]
+        flags.append(draw(st.sampled_from(list(options)[:either])))
+    argv = [name]
+    for flag in draw(st.permutations(flags)):
+        keywords = options[flag]
+        numbers, names = ("5", "0.5", "0"), ("x", "fig3a", "safety", "")
+        good = keywords.get("choices") or (numbers if "type" in keywords else names)
+        argv += [flag, draw(st.one_of(*[st.sampled_from(good)] * 5, st.sampled_from(ODD_VALUES)))]
+    odd = draw(st.integers(0, 7))
+    if odd == 1:
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(ODD_FLAGS + ODD_VALUES)))
+    elif odd == 2 and len(argv) > 2:
+        argv += argv[1:3]  # a flag given twice
+    elif odd == 3 and len(argv) > 1:
+        argv.pop()  # a flag without its value
+    return argv
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(command_lines())
+@example(["assess", "--profile", "safety", "--distance", "1", "--mode", "raw"])  # not among choices
+@example(["assess", "--profile", "safety", "--distance", "nan"])  # refused by its type
+@example(["weights", "--profile", "safety", "--matrix", "m.json"])  # both of an either-or group
+@example(["sweep", "--out", "x.csv"])  # neither
+@example(["schedule", "--records", "r", "--receivers", "v"])  # a required flag missing
+@example(["sweep", "--figure", "fig3a", "--out", "-"])  # a value that starts with "-"
+def test_a_plain_command_line_parses_as_the_full_tree_parses_it(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            full = vars(cli.build_parser().parse_args(argv))
+        except SystemExit:  # help, or a usage error
+            full = None
+    plain = cli._parse_plain(argv[0], argv[1:])
+    event(f"argparse parsed it: {full is not None}; _parse_plain parsed it: {plain is not None}")
+    if plain is not None:
+        assert full is not None and full.pop("command") == argv[0]
+        assert vars(plain) == full
 
 
 def test_a_text_only_stdout_gets_the_text_of_a_byte_stdout(monkeypatch):

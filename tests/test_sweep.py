@@ -336,8 +336,13 @@ def test_an_input_the_sweep_holds_fixed_is_scored_once(monkeypatch):
             calls[_name] += 1
             return _score(*args)
         monkeypatch.setattr(sweep, name, counted)
-    sweep.run_sweep(sweep.figure_preset("fig3a"))  # 51 distances, two contexts, each at a fixed age
-    assert calls == {"timeliness_voi": 2, "proximity_voi": 102, "quality_voi": 102}
+    # 51 distances, two contexts, each at a fixed age; obs_grid 10 snaps the 51 observation
+    # distances to 26 runs of equal ones, each scored once
+    sweep.run_sweep(sweep.figure_preset("fig3a"))
+    assert calls == {"timeliness_voi": 2, "proximity_voi": 102, "quality_voi": 52}
+    calls.update(dict.fromkeys(calls, 0))
+    sweep.run_sweep(sweep.figure_preset("fig4"))  # two contexts on one scenario share proximity
+    assert calls == {"timeliness_voi": 2, "proximity_voi": 51, "quality_voi": 52}
     calls.update(dict.fromkeys(calls, 0))
     sweep.run_sweep(sweep.SweepSpec("aoi", 0.0, 1.0, 0.1, (  # 11 ages
         sweep.SweepSeries("o", voi.SAFETY, voi.URBAN, voi.VARIABLE, voi.SENSORS["low"], distance=50.0),
@@ -345,3 +350,10 @@ def test_an_input_the_sweep_holds_fixed_is_scored_once(monkeypatch):
         sweep.SweepSeries("q", attribute="quality", sensor=voi.SENSORS["low"], obs_distance=20.0),
     )))
     assert calls == {"timeliness_voi": 11, "proximity_voi": 2, "quality_voi": 2}
+    calls.update(dict.fromkeys(calls, 0))
+    curves = sweep.run_sweep(sweep.SweepSpec("aoi", 0.0, 1.0, 0.5, tuple(  # one scenario, two fixed distances
+        sweep.SweepSeries(f"p{d:g}", attribute="proximity", scenario=voi.URBAN, distance=d) for d in (10.0, 90.0)
+    )))
+    assert calls == {"timeliness_voi": 0, "proximity_voi": 2, "quality_voi": 0}
+    assert curves.curves == tuple((voi.proximity_voi(d, voi.URBAN.safety_distance),) * 3 for d in (10.0, 90.0))
+    assert curves.curves[0] != curves.curves[1]

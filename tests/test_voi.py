@@ -314,6 +314,9 @@ def test_builtin_profiles_are_derived_from_the_builtin_matrices():
     assert list(voi.PROFILES) == list(voi.BUILTIN_MATRICES)
     assert all(profile.name == name for name, profile in voi.PROFILES.items())
     assert (voi.PROFILES["safety"], voi.PROFILES["traffic"]) == (voi.SAFETY, voi.TRAFFIC)
+    for name, matrix in voi.BUILTIN_MATRICES.items():  # the import-time solution, as a config matrix gets it
+        assert voi.BUILTIN_SOLUTIONS[name] == ahp.principal_eigenvector(matrix)
+        assert voi.PROFILES[name] == voi.profile_from_matrix(name, matrix)
 
 
 def test_no_decay_keeps_timeliness_at_one_at_an_infinite_age():

@@ -13,7 +13,7 @@ for byte:
 The cases: `schedule` on the benchmark's seeded fanout batch (seeds 1 and 2), every
 figure preset's CSV, `weights`, `presets`, `assess`, custom configs, specs and
 matrices, and one case per bad input. Not part of the test suite: it starts about
-120 interpreters, one after another.
+125 interpreters, one after another.
 """
 
 from __future__ import annotations
@@ -145,6 +145,13 @@ def cases() -> dict[str, tuple[list[str], dict]]:
             dict(OVERALL, label="own-obs", obs_distance=25)]),
         "help": (["--help"], {}),
         "help-schedule": (["schedule", "--help"], {}),
+        # Command lines in forms that only argparse reads: an abbreviated flag, flag=value, a value
+        # that starts with "-", a flag given twice (the last wins).
+        "figure-flag-forms": (["sweep", "--fig", "fig2a", "--out=x.csv"], {}),
+        "sweep-out-dash": (["sweep", "--figure", "fig2a", "--out", "-"], {}),
+        "weights-profile-twice": (["weights", "--profile", "safety", "--profile", "traffic"], {}),
+        "assess-flag-forms": (["assess", "--profile=safety", "--distance", "100", "--aoi", "-0",
+                               "--mode", "nonprocessed", "--mode", "processed"], {}),
     }
     bad = {
         "no-command": ([], {}),
@@ -159,6 +166,8 @@ def cases() -> dict[str, tuple[list[str], dict]]:
                             {"r.jsonl": jsonl(RECORD), "v.jsonl": jsonl(RECEIVER)}),
         "assess-negative-distance": (["assess", "--profile", "safety", "--distance", "-1"], {}),
         "assess-bad-mode": (["assess", "--profile", "safety", "--distance", "1", "--mode", "raw"], {}),
+        "assess-infinite-distance": (["assess", "--profile", "safety", "--distance", "inf"], {}),
+        "assess-empty-config-path": (["assess", "--config", "", "--profile", "safety", "--distance", "1"], {}),
         "weights-unknown-profile": (["weights", "--profile", "nope"], {}),
         "weights-both-sources": (["weights", "--profile", "safety", "--matrix", "m.json"], {}),
         "figure-unknown": (["sweep", "--figure", "nope"], {}),
