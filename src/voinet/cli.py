@@ -42,41 +42,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
-_OPTIONS = {  # command: (n, {flag: add_argument keywords}), whose first n flags are a required either-or group
-    "weights": (2, {"--profile": dict(help="built-in comparison matrix (safety, traffic)"),
-                    "--matrix": dict(help="JSON file with a pairwise comparison matrix")}),
-    "assess": (0, {"--config": dict(help="JSON config file"),
-                   "--profile": dict(required=True),
-                   "--scenario": dict(default="urban"),
-                   "--sensor": dict(default="medium"),
-                   "--distance": dict(type=_finite_float, required=True),
-                   "--aoi": dict(type=_finite_float, default=0.0),
-                   "--ptd": dict(type=_finite_float, default=1.0, help="temporal decay rate (1/s)"),
-                   "--mode": dict(choices=sorted(cfgmod.MODE_ALIASES), default="processed"),
-                   "--obs-distance": dict(type=_finite_float)}),
-    "sweep": (2, {"--figure": dict(help="preset name (see the presets command)"),
-                  "--spec": dict(help="JSON sweep spec file"),
-                  "--config": dict(help="JSON config file (names used by --spec)"),
-                  "--out": dict(help="output CSV path (default: <name>.csv)")}),
-    "schedule": (0, {"--config": dict(help="JSON config file"),
-                     "--records": dict(required=True, help="JSON-lines record file"),
-                     "--receivers": dict(required=True, help="JSON-lines receiver file"),
-                     "--profile": dict(required=True),
-                     "--threshold": dict(type=_finite_float),
-                     "--now": dict(type=_finite_float, help="evaluation instant (default: latest t0)"),
-                     "--out": dict(help="output CSV path (default: stdout)")}),
-    "presets": (0, {}),
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The full command-line parser: every command, with its arguments and help."""
     parser = _Parser(prog="voinet", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, func) in COMMANDS.items():
+    for name, (summary, func, either, options) in COMMANDS.items():
         p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
-        either, options = _OPTIONS[name]
         group = p.add_mutually_exclusive_group(required=True) if either else p
         for i, (flag, keywords) in enumerate(options.items()):
             (group if i < either else p).add_argument(flag, **keywords)
@@ -187,26 +159,48 @@ def cmd_presets(args: argparse.Namespace) -> tuple[int, str]:
     )
 
 
-COMMANDS = {  # name: (summary, function)
-    "weights": ("derive priority weights", cmd_weights),
-    "assess": ("score a single context", cmd_assess),
-    "sweep": ("evaluate a sweep and write CSV", cmd_sweep),
-    "schedule": ("rank records and apply the threshold", cmd_schedule),
-    "presets": ("list figure presets", cmd_presets),
+COMMANDS = {  # name: (summary, function, n, {flag: add_argument keywords}); one of the first n flags is required
+    "weights": ("derive priority weights", cmd_weights, 2, {
+        "--profile": dict(help="built-in comparison matrix (safety, traffic)"),
+        "--matrix": dict(help="JSON file with a pairwise comparison matrix")}),
+    "assess": ("score a single context", cmd_assess, 0, {
+        "--config": dict(help="JSON config file"),
+        "--profile": dict(required=True),
+        "--scenario": dict(default="urban"),
+        "--sensor": dict(default="medium"),
+        "--distance": dict(type=_finite_float, required=True),
+        "--aoi": dict(type=_finite_float, default=0.0),
+        "--ptd": dict(type=_finite_float, default=1.0, help="temporal decay rate (1/s)"),
+        "--mode": dict(choices=sorted(cfgmod.MODE_ALIASES), default="processed"),
+        "--obs-distance": dict(type=_finite_float)}),
+    "sweep": ("evaluate a sweep and write CSV", cmd_sweep, 2, {
+        "--figure": dict(help="preset name (see the presets command)"),
+        "--spec": dict(help="JSON sweep spec file"),
+        "--config": dict(help="JSON config file (names used by --spec)"),
+        "--out": dict(help="output CSV path (default: <name>.csv)")}),
+    "schedule": ("rank records and apply the threshold", cmd_schedule, 0, {
+        "--config": dict(help="JSON config file"),
+        "--records": dict(required=True, help="JSON-lines record file"),
+        "--receivers": dict(required=True, help="JSON-lines receiver file"),
+        "--profile": dict(required=True),
+        "--threshold": dict(type=_finite_float),
+        "--now": dict(type=_finite_float, help="evaluation instant (default: latest t0)"),
+        "--out": dict(help="output CSV path (default: stdout)")}),
+    "presets": ("list figure presets", cmd_presets, 0, {}),
 }
 
 
 def _parse_plain(name: str, argv: list[str]) -> argparse.Namespace | None:
     """argv, the arguments after command name, as argparse parses them, when argv is flags of name, each once
     and each followed by a value that argparse takes as it stands and accepts; else None, for argparse."""
-    either, options = _OPTIONS[name]
+    _, func, either, options = COMMANDS[name]
     given = dict(zip(argv[::2], argv[1::2]))
     if (len(given) * 2 != len(argv) or not given.keys() <= options.keys()
             or any(value[:1] == "-" for value in given.values())
             or either and len(given.keys() & list(options)[:either]) != 1
             or any(keywords.get("required") and flag not in given for flag, keywords in options.items())):
         return None
-    args = argparse.Namespace(func=COMMANDS[name][1])
+    args = argparse.Namespace(func=func)
     for flag, keywords in options.items():
         try:
             value = keywords.get("type", str)(given[flag]) if flag in given else keywords.get("default")

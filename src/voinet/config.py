@@ -68,6 +68,7 @@ def default_config() -> ConfigDocument:
 def parse_config(data: object) -> ConfigDocument:
     if not isinstance(data, Mapping):
         raise ValueError("config must be a JSON object")
+    _known_keys(data, ("profiles", "scenarios", "sensors", "defaults"))
     cfg = default_config()  # its profiles, scenarios and sensors are fresh dicts, filled in here
     for key, table, parse in zip(cfg._fields, cfg, (_parse_profile, _parse_scenario, _parse_sensor)):
         for name, obj in _section(data, key).items():
@@ -76,6 +77,7 @@ def parse_config(data: object) -> ConfigDocument:
                 raise ValueError(f"{entry} must be an object")
             table[name] = _at(entry, parse, name, obj)
     defaults = _section(data, "defaults")
+    _at("defaults", _known_keys, defaults, ("logistic", "threshold"))
     logistic = _at("defaults.logistic", _parse_logistic, _section(defaults, "logistic"))
     threshold = None
     if defaults.get("threshold") is not None:
@@ -119,22 +121,13 @@ def _json(text: str) -> object:
         raise ValueError(f"invalid JSON: {exc}") from None
 
 
-def read_json(path: str) -> object:
-    """Parse one JSON file, naming the file if it is not valid JSON.
-
-    CRLF and CR read as LF in the bytes (no UTF-8 character holds either), so positions count lines alike.
-    """
-    data = _read(path).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    return _at(shown(path), _json, _text(path, data))
-
-
 def load_config(path: str | None) -> ConfigDocument:
-    return default_config() if path is None else _at(shown(path), parse_config, read_json(path))
+    return default_config() if path is None else read_json(path, parse_config)
 
 
 def load_matrix(path: str) -> ahp.ComparisonMatrix:
     """A comparison matrix file, in either form parse_matrix reads."""
-    return _at(shown(path), parse_matrix, read_json(path))
+    return read_json(path, parse_matrix)
 
 
 def _at(where: str, build: Callable[..., object], *args: object) -> object:
@@ -176,6 +169,12 @@ def _string(obj: Mapping[str, object], key: str, default: str | None = None) -> 
     raise ValueError(f"field {key!r} must be a JSON string, got {json.dumps(value)}")
 
 
+def _known_keys(obj: Mapping[str, object], known: tuple[str, ...], what: str = "fields") -> None:
+    unknown = obj.keys() - known
+    if unknown:
+        raise ValueError(f"unknown {what} {sorted(unknown)}; known: {list(known)}")
+
+
 def _section(data: Mapping[str, object], key: str) -> Mapping[str, object]:
     value = data.get(key, {})
     if not isinstance(value, Mapping):
@@ -184,6 +183,7 @@ def _section(data: Mapping[str, object], key: str) -> Mapping[str, object]:
 
 
 def _parse_profile(name: str, obj: Mapping[str, object]) -> ApplicationProfile:
+    _known_keys(obj, ("weights",) if "weights" in obj else ("matrix", "labels"))
     if "weights" in obj:
         weights = obj["weights"]
         if not isinstance(weights, Mapping) or set(weights) != set(ATTRIBUTES):
@@ -208,6 +208,7 @@ def parse_matrix(data: object) -> ahp.ComparisonMatrix:
     if isinstance(data, list):
         entries, labels = data, None
     elif isinstance(data, Mapping) and "matrix" in data:
+        _known_keys(data, ("matrix", "labels"))
         entries, labels = data["matrix"], data.get("labels")
     else:
         raise ValueError("expected a JSON matrix or an object with a 'matrix' key")
@@ -228,6 +229,7 @@ def parse_matrix(data: object) -> ahp.ComparisonMatrix:
 
 
 def _parse_scenario(name: str, obj: Mapping[str, object]) -> Scenario:
+    _known_keys(obj, ("kind", "v_max", "safety_distance"))
     if "v_max" not in obj and "safety_distance" not in obj:
         raise ValueError("needs v_max and/or safety_distance")
     kind = _string(obj, "kind", name if name in SCENARIOS else None)  # a built-in's name is its kind
@@ -238,17 +240,14 @@ def _parse_scenario(name: str, obj: Mapping[str, object]) -> Scenario:
 
 
 def _parse_sensor(name: str, obj: Mapping[str, object]) -> SensorModel:
+    _known_keys(obj, SensorModel._fields[:-1])  # less the derived focal
     return SensorModel(
         _number(obj, "height", 1.2), _number(obj, "fov", 70.0), _number(obj, "resolution")
     )
 
 
 def _parse_logistic(obj: Mapping[str, object]) -> LogisticParams:
-    unknown = set(obj) - set(LogisticParams._fields)
-    if unknown:
-        raise ValueError(
-            f"unknown logistic parameters {sorted(unknown)}; known: {list(LogisticParams._fields)}"
-        )
+    _known_keys(obj, LogisticParams._fields, "logistic parameters")
     return DEFAULT_LOGISTIC._replace(**{k: _number(obj, k) for k in obj})
 
 
@@ -265,6 +264,15 @@ def parse_temporal(obj: Mapping[str, object]):
     if isinstance(raw, str):
         return resolve_name(TEMPORAL_CLASSES, raw, "temporal class")
     return _at("field 'temporal'", temporal_from_decay, _number(obj, "temporal"))
+
+
+def read_json(path: str, parse: Callable[..., object], *args: object) -> object:
+    """parse(value, *args) for the file's one JSON value; the file is named in front of any ValueError.
+
+    CRLF and CR read as LF in the bytes (no UTF-8 character holds either), so positions count lines alike.
+    """
+    text = _text(path, _read(path).replace(b"\r\n", b"\n").replace(b"\r", b"\n"))
+    return _at(shown(path), lambda: parse(_json(text), *args))
 
 
 _decode = json.JSONDecoder().raw_decode
@@ -345,6 +353,7 @@ def load_receivers(path: str, cfg: ConfigDocument) -> list[ReceiverView]:
 def _parse_series(obj: object, cfg: ConfigDocument) -> SweepSeries:
     if not isinstance(obj, Mapping):
         raise ValueError("a series must be a JSON object")
+    _known_keys(obj, SweepSeries._fields)
     kwargs: dict[str, object] = {"label": _string(obj, "label")}
     for key, table in (("profile", cfg.profiles), ("scenario", cfg.scenarios), ("sensor", cfg.sensors)):
         if key in obj:
@@ -364,6 +373,7 @@ def _parse_series(obj: object, cfg: ConfigDocument) -> SweepSeries:
 def _parse_sweep_spec(data: object, cfg: ConfigDocument) -> SweepSpec:
     if not isinstance(data, dict):
         raise ValueError("sweep spec must be a JSON object")
+    _known_keys(data, SweepSpec._fields[:-1])  # less the derived points
     # Read in this order, so the first missing of them is the one reported.
     grid = _string(data, "variable"), _number(data, "start"), _number(data, "stop"), _number(data, "step")
     series, notes = _require(data, "series"), data.get("notes", [])
@@ -382,4 +392,4 @@ def _parse_sweep_spec(data: object, cfg: ConfigDocument) -> SweepSpec:
 
 def load_sweep_spec(path: str, cfg: ConfigDocument) -> SweepSpec:
     """Read a sweep spec; profile, scenario and sensor names resolve in cfg."""
-    return _at(shown(path), _parse_sweep_spec, read_json(path), cfg)
+    return read_json(path, _parse_sweep_spec, cfg)

@@ -821,7 +821,7 @@ def test_a_key_error_in_a_command_is_a_fault_of_voinet_not_of_its_input(monkeypa
     def faulty(args):
         raise KeyError("no such key")
 
-    monkeypatch.setitem(cli.COMMANDS, "presets", ("list figure presets", faulty))
+    monkeypatch.setitem(cli.COMMANDS, "presets", ("list figure presets", faulty, 0, {}))
     with pytest.raises(KeyError):
         run_main("presets")
 
@@ -930,7 +930,7 @@ ODD_VALUES = ("-5", "-", "nan", "1e400", "ten", "bogus", "--figure", "")
 def command_lines(draw):
     """A command, each required option and some others with a value, and now and then an odd token."""
     name = draw(st.sampled_from(list(cli.COMMANDS)))
-    either, options = cli._OPTIONS[name]
+    _, _, either, options = cli.COMMANDS[name]
     flags = [flag for flag in options if options[flag].get("required") or draw(st.integers(0, 2)) == 0]
     if either and draw(st.integers(0, 3)):  # mostly one flag of the either-or group
         flags = [flag for flag in flags if flag not in list(options)[:either]]

@@ -112,6 +112,55 @@ def test_parse_logistic_overlay():
         cfgmod.parse_config({"defaults": {"logistic": {"slope": 1.0}}})
 
 
+SENSOR_KEYS = "known: ['height', 'fov', 'resolution']"
+SERIES = {"label": "p", "attribute": "proximity", "scenario": "urban"}
+SPEC = {"variable": "distance", "start": 0, "stop": 10, "step": 5, "series": [SERIES]}
+WEIGHTS = {"timeliness": 0.2, "proximity": 0.5, "quality": 0.3}
+
+
+@pytest.mark.parametrize("load, doc, message", [
+    (cfgmod.load_config, {"sensors": {"wide": {"resolution": 1920, "fovv": 90}}},
+     f"sensor 'wide': unknown fields ['fovv']; {SENSOR_KEYS}"),
+    (cfgmod.load_config, {"sensors": {"wide": {"resolution": 1920, "focal": 1}}},  # derived, not read
+     f"sensor 'wide': unknown fields ['focal']; {SENSOR_KEYS}"),
+    (cfgmod.load_config, {"profile": {}, "default": {}},
+     "unknown fields ['default', 'profile']; known: ['profiles', 'scenarios', 'sensors', 'defaults']"),
+    (cfgmod.load_config, {"defaults": {"treshold": 0.5}},
+     "defaults: unknown fields ['treshold']; known: ['logistic', 'threshold']"),
+    (cfgmod.load_config, {"defaults": {"logistic": {"slope": 1}}},
+     "defaults.logistic: unknown logistic parameters ['slope']; "
+     "known: ['upper', 'lower', 'offset', 'scale', 'decay', 'shape']"),
+    (cfgmod.load_config, {"scenarios": {"s": {"kind": "urban", "vmax": 10}}},
+     "scenario 's': unknown fields ['vmax']; known: ['kind', 'v_max', 'safety_distance']"),
+    # A profile reads weights or a matrix, never both: the matrix beside weights is not checked.
+    (cfgmod.load_config, {"profiles": {"p": {"weights": WEIGHTS, "matrix": [[1, 99], [0, 1]]}}},
+     "profile 'p': unknown fields ['matrix']; known: ['weights']"),
+    (cfgmod.load_config, {"profiles": {"p": {"weights": WEIGHTS, "labels": ["a", "b", "c"]}}},
+     "profile 'p': unknown fields ['labels']; known: ['weights']"),
+    (cfgmod.load_config, {"profiles": {"p": {"weights": dict(WEIGHTS, qualty=0.3)}}},
+     "profile 'p': weights must be an object with keys ('timeliness', 'proximity', 'quality')"),
+    (cfgmod.load_config, {"profiles": {"p": {"matrix": [[1, 2], [0.5, 1]], "lables": ["a", "b"]}}},
+     "profile 'p': unknown fields ['lables']; known: ['matrix', 'labels']"),
+    (cfgmod.load_matrix, {"matrix": [[1, 2], [0.5, 1]], "lables": ["a", "b"]},
+     "unknown fields ['lables']; known: ['matrix', 'labels']"),
+    (cfgmod.load_sweep_spec, dict(SPEC, obs_grd=10),
+     "unknown fields ['obs_grd']; known: ['variable', 'start', 'stop', 'step', 'series', 'obs_grid', "
+     "'name', 'notes']"),
+    (cfgmod.load_sweep_spec, dict(SPEC, points=3),  # derived, not read
+     "unknown fields ['points']; known: ['variable', 'start', 'stop', 'step', 'series', 'obs_grid', "
+     "'name', 'notes']"),
+    (cfgmod.load_sweep_spec, dict(SPEC, series=[SERIES, dict(SERIES, label="q", obs_distanse=300)]),
+     "series[1]: unknown fields ['obs_distanse']; known: ['label', 'profile', 'scenario', 'temporal', "
+     "'sensor', 'mode', 'attribute', 'aoi', 'distance', 'obs_distance']"),
+])
+def test_a_key_its_reader_does_not_know_is_refused_by_name(tmp_path, load, doc, message):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        load(str(path), *([cfgmod.default_config()] if load is cfgmod.load_sweep_spec else []))
+    assert str(info.value) == f"{path}: {message}"
+
+
 def test_threshold_bounds():
     cfg = cfgmod.parse_config({"defaults": {"threshold": 0.4}})
     assert cfg.threshold == 0.4

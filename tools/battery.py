@@ -13,7 +13,7 @@ for byte:
 The cases: `schedule` on the benchmark's seeded fanout batch (seeds 1 and 2), every
 figure preset's CSV, `weights`, `presets`, `assess`, custom configs, specs and
 matrices, and one case per bad input. Not part of the test suite: it starts about
-125 interpreters, one after another.
+131 interpreters, one after another.
 """
 
 from __future__ import annotations
@@ -65,6 +65,12 @@ def schedule(records: str = jsonl(RECORD), receivers: str = jsonl(RECEIVER), *ex
     threshold = [] if {"--config", "--threshold"} & set(extra) else ["--threshold", "0.5"]
     argv = SCHEDULE + list(extra) + threshold
     return argv, {"r.jsonl": records, "v.jsonl": receivers, **files}
+
+
+def configured(config: dict) -> tuple[list[str], dict]:
+    """A schedule case that reads config; its --threshold 0.5 lets the case run if config were accepted."""
+    return schedule(jsonl(RECORD), jsonl(RECEIVER), "--config", "c.json", "--threshold", "0.5",
+                    **{"c.json": json.dumps(config)})
 
 
 def spec(**changes: object) -> tuple[list[str], dict]:
@@ -221,6 +227,14 @@ def cases() -> dict[str, tuple[list[str], dict]]:
             "c.json": json.dumps({"defaults": {"logistic": {"decay": -1}}})}),
         "config-logistic-upper-out-of-range": schedule(jsonl(RECORD), jsonl(RECEIVER), "--config", "c.json", **{
             "c.json": json.dumps({"defaults": {"logistic": {"upper": 1.5}}})}),
+        # A key that its reader does not know, named in the refusal.
+        "config-unknown-section": configured({"profile": {}}),
+        "config-defaults-unknown-key": configured({"defaults": {"treshold": 0.5}}),
+        "config-sensor-unknown-key": configured({"sensors": {"wide": {"resolution": 1920.0, "fovv": 90.0}}}),
+        "config-profile-weights-beside-matrix": configured(
+            {"profiles": {"p": dict(CONFIG["profiles"]["mine"], matrix=[[1, 99], [0, 1]])}}),
+        "spec-unknown-key": spec(obs_grd=10),
+        "spec-series-unknown-key": spec(series=[dict(SERIES, obs_distanse=300)]),
         "matrix-ragged": matrix([[1, 2, 3], [0.5, 1], [1 / 3, 1, 1]]),
         "matrix-off-scale": matrix([[1, 10], [0.1, 1]]),
         "matrix-not-reciprocal": matrix([[1, 2], [0.6, 1]]),
