@@ -1,6 +1,7 @@
 """What voinet's checked value types share.
 
-Each value type is one class statement, ``class T(Checked, namedtuple("T",
+A type is a namedtuple subclass only when it adds checks or methods: each
+checked value type is one class statement, ``class T(Checked, namedtuple("T",
 "a b c"))``, whose ``__new__`` checks (and may normalise or derive) the
 fields. namedtuple's own ``_make``, which its ``_replace`` calls, builds the
 tuple without ``__new__``; ``Checked`` sends both through ``__new__``, so no

@@ -100,11 +100,8 @@ class EigenSolution(Checked, namedtuple("EigenSolution", "lambda_max weights")):
         return tuple.__new__(cls, (lambda_max, weights))
 
 
-class ConsistencyReport(namedtuple("ConsistencyReport",
-                                   "consistency_index random_index consistency_ratio acceptable")):
-    """Consistency check of an eigensolution against the random index; ``acceptable`` is a bool."""
-
-    __slots__ = ()
+ConsistencyReport = namedtuple("ConsistencyReport", "consistency_index random_index consistency_ratio acceptable")
+ConsistencyReport.__doc__ = "Consistency check of an eigensolution against the random index; ``acceptable`` is a bool."
 
 
 def principal_eigenvector(m: ComparisonMatrix) -> EigenSolution:

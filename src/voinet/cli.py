@@ -204,7 +204,7 @@ def _parse_plain(name: str, argv: list[str]) -> argparse.Namespace | None:
     for flag, keywords in options.items():
         try:
             value = keywords.get("type", str)(given[flag]) if flag in given else keywords.get("default")
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
+        except argparse.ArgumentTypeError:
             return None
         if value not in keywords.get("choices", [value]):  # a default outside choices goes to argparse
             return None

@@ -49,11 +49,8 @@ _LABEL_SPECIAL = re.compile("[\\s=\ud800-\udfff]")
 _FLOAT_MAX = sys.float_info.max
 
 
-class ConfigDocument(namedtuple("ConfigDocument", "profiles scenarios sensors logistic threshold",
-                                defaults=(None,))):
-    """Resolved configuration: dicts from each name to its object, and a float threshold or None."""
-
-    __slots__ = ()
+ConfigDocument = namedtuple("ConfigDocument", "profiles scenarios sensors logistic threshold", defaults=(None,))
+ConfigDocument.__doc__ = "Resolved configuration: dicts from each name to its object, and a float threshold or None."
 
 
 def default_config() -> ConfigDocument:
@@ -183,7 +180,7 @@ def _section(data: Mapping[str, object], key: str) -> Mapping[str, object]:
 
 
 def _parse_profile(name: str, obj: Mapping[str, object]) -> ApplicationProfile:
-    _known_keys(obj, ("weights",) if "weights" in obj else ("matrix", "labels"))
+    _known_keys(obj, ("weights",) if "weights" in obj else ("matrix", "labels", "weights"))
     if "weights" in obj:
         weights = obj["weights"]
         if not isinstance(weights, Mapping) or set(weights) != set(ATTRIBUTES):

@@ -56,13 +56,11 @@ class SchedulerConfig(Checked, namedtuple("SchedulerConfig", "profile threshold 
         return tuple.__new__(cls, (profile, unit_interval("threshold", threshold), now, params))
 
 
-class RankedEntry(namedtuple("RankedEntry", "record_id best_value best_receiver")):
-    """One record's best value (a float) over the receivers and the receiver (its id) reaching it.
+RankedEntry = namedtuple("RankedEntry", "record_id best_value best_receiver")
+RankedEntry.__doc__ = """One record's best value (a float) over the receivers and the receiver (its id) reaching it.
 
-    Among receivers of equal value the smallest receiver id wins.
-    """
-
-    __slots__ = ()
+Among receivers of equal value the smallest receiver id wins.
+"""
 
 
 def _age(record: PerceptionRecord, now: float) -> float:

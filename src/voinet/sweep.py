@@ -39,7 +39,6 @@ from .voi import (
 
 VARIABLES = ("distance", "aoi")
 MAX_GRID_POINTS = 100_000  # every preset uses 51; far more means a mistyped step
-ATTRIBUTE_CHOICES = ("overall", "proximity", "timeliness", "quality")
 
 # Sensor resolution used by the reference curves. The nominal 1080 px
 # annotation does not reproduce them; 1280 px does, to machine precision.
@@ -53,6 +52,7 @@ _REQUIRED = {
     "timeliness": ("temporal",),
     "quality": ("sensor",),
 }
+ATTRIBUTE_CHOICES = tuple(_REQUIRED)
 
 
 class SweepSeries(Checked, namedtuple(

@@ -140,7 +140,7 @@ WEIGHTS = {"timeliness": 0.2, "proximity": 0.5, "quality": 0.3}
     (cfgmod.load_config, {"profiles": {"p": {"weights": dict(WEIGHTS, qualty=0.3)}}},
      "profile 'p': weights must be an object with keys ('timeliness', 'proximity', 'quality')"),
     (cfgmod.load_config, {"profiles": {"p": {"matrix": [[1, 2], [0.5, 1]], "lables": ["a", "b"]}}},
-     "profile 'p': unknown fields ['lables']; known: ['matrix', 'labels']"),
+     "profile 'p': unknown fields ['lables']; known: ['matrix', 'labels', 'weights']"),
     (cfgmod.load_matrix, {"matrix": [[1, 2], [0.5, 1]], "lables": ["a", "b"]},
      "unknown fields ['lables']; known: ['matrix', 'labels']"),
     (cfgmod.load_sweep_spec, dict(SPEC, obs_grd=10),
@@ -152,6 +152,9 @@ WEIGHTS = {"timeliness": 0.2, "proximity": 0.5, "quality": 0.3}
     (cfgmod.load_sweep_spec, dict(SPEC, series=[SERIES, dict(SERIES, label="q", obs_distanse=300)]),
      "series[1]: unknown fields ['obs_distanse']; known: ['label', 'profile', 'scenario', 'temporal', "
      "'sensor', 'mode', 'attribute', 'aoi', 'distance', 'obs_distance']"),
+    # A profile without weights names both forms' keys, so a misspelt weights is named beside weights.
+    (cfgmod.load_config, {"profiles": {"p": {"wieghts": WEIGHTS}}},
+     "profile 'p': unknown fields ['wieghts']; known: ['matrix', 'labels', 'weights']"),
 ])
 def test_a_key_its_reader_does_not_know_is_refused_by_name(tmp_path, load, doc, message):
     path = tmp_path / "in.json"

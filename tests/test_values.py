@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from voinet import ahp, scheduler, sweep, voi
+from voinet import ahp, config, scheduler, sweep, voi
 from voinet._checked import finite, non_negative, one_of, positive, unit_interval
 
 _SERIES = sweep.SweepSeries("s", attribute="proximity", scenario=voi.URBAN)
@@ -217,3 +217,31 @@ def test_copy_replace_runs_the_checks_and_recomputes_derived_fields():
         with pytest.raises(ValueError) as info:
             copy.replace(cls(**fields), **{name: value})
         assert str(info.value) == message
+
+
+# (type, its module, its fields in order, their defaults, an instance, the first line of its docstring)
+RECORDS = [
+    (ahp.ConsistencyReport, "voinet.ahp",
+     ("consistency_index", "random_index", "consistency_ratio", "acceptable"), {},
+     ahp.ConsistencyReport(0.01, 0.58, 0.0172, True),
+     "Consistency check of an eigensolution against the random index; ``acceptable`` is a bool."),
+    (scheduler.RankedEntry, "voinet.scheduler", ("record_id", "best_value", "best_receiver"), {},
+     scheduler.RankedEntry("r1", 0.5, "rx1"),
+     "One record's best value (a float) over the receivers and the receiver (its id) reaching it."),
+    (config.ConfigDocument, "voinet.config", ("profiles", "scenarios", "sensors", "logistic", "threshold"),
+     {"threshold": None}, config.ConfigDocument({}, {}, {}, voi.DEFAULT_LOGISTIC),
+     "Resolved configuration: dicts from each name to its object, and a float threshold or None."),
+]
+
+
+@pytest.mark.parametrize("cls, module, fields, defaults, value, doc", RECORDS,
+                         ids=[r[0].__name__ for r in RECORDS])
+def test_the_plain_records_keep_their_contract(cls, module, fields, defaults, value, doc):
+    assert cls._fields == fields and cls._field_defaults == defaults and cls.__module__ == module
+    assert value[len(fields) - len(defaults):] == tuple(defaults.values())  # the instance left them unset
+    assert not hasattr(value, "__dict__")
+    for again in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert again == value and type(again) is cls
+    changed = value._replace(**{fields[0]: 0.5})
+    assert type(changed) is cls and changed[0] == 0.5 and changed[1:] == value[1:]
+    assert cls.__doc__.splitlines()[0] == doc

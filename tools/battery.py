@@ -13,7 +13,7 @@ for byte:
 The cases: `schedule` on the benchmark's seeded fanout batch (seeds 1 and 2), every
 figure preset's CSV, `weights`, `presets`, `assess`, custom configs, specs and
 matrices, and one case per bad input. Not part of the test suite: it starts about
-131 interpreters, one after another.
+132 interpreters, one after another.
 """
 
 from __future__ import annotations
@@ -233,6 +233,8 @@ def cases() -> dict[str, tuple[list[str], dict]]:
         "config-sensor-unknown-key": configured({"sensors": {"wide": {"resolution": 1920.0, "fovv": 90.0}}}),
         "config-profile-weights-beside-matrix": configured(
             {"profiles": {"p": dict(CONFIG["profiles"]["mine"], matrix=[[1, 99], [0, 1]])}}),
+        "config-profile-misspelt-weights": configured(
+            {"profiles": {"p": {"wieghts": CONFIG["profiles"]["mine"]["weights"]}}}),
         "spec-unknown-key": spec(obs_grd=10),
         "spec-series-unknown-key": spec(series=[dict(SERIES, obs_distanse=300)]),
         "matrix-ragged": matrix([[1, 2, 3], [0.5, 1], [1 / 3, 1, 1]]),
